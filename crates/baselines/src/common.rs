@@ -9,7 +9,7 @@
 //! needed so the idle-ratio inversion is an `(epsilon, delta)` estimate at
 //! load `lambda`.
 
-use rfid_hash::mix::{bucket, mix_pair, unit_f64};
+use rfid_hash::mix::{bucket, mix64, mix_pair, mix_pair_hashed, unit_f64};
 use rfid_sim::{ResponsePlan, SlotSink, Tag};
 
 /// ZOE's variance-optimal per-slot load: `lambda* ~ 1.594` (the root of
@@ -53,9 +53,11 @@ const HASH_LEVELS: usize = 65;
 ///
 /// A tag's level is `trailing_zeros(mix_pair(id, seed)) + 1` capped at
 /// `f`, the [`rfid_hash::geometric_level`] the scalar path calls. The
-/// batched kernel tallies a chunk's levels in a stack histogram of at most
-/// 65 bins and hands each slot to the sink once, so a frame costs one hash
-/// per tag plus one [`SlotSink::record_n`] per level.
+/// batched kernel tallies a chunk's levels in a histogram of at most 65
+/// bins and hands each slot to the sink once, so a frame costs one hash
+/// per tag plus one [`SlotSink::record_n`] per level. Filling several
+/// frames in one pass ([`ResponsePlan::fill_frames`]), it computes the
+/// ID half `mix64(id)` of the pair hash once per tag, not once per frame.
 #[derive(Debug, Clone, Copy)]
 pub struct GeometricFramePlan {
     seed: u32,
@@ -71,20 +73,30 @@ impl ResponsePlan for GeometricFramePlan {
     }
 
     fn fill_chunk(&self, tags: &[Tag], sink: &mut SlotSink<'_>) {
-        let mut tally = [0u32; HASH_LEVELS];
-        let seed = u64::from(self.seed);
+        Self::fill_frames(std::slice::from_ref(self), tags, std::slice::from_mut(sink));
+    }
+
+    /// One walk over `tags` for every frame: each tag's ID is hashed once,
+    /// then each frame's level comes from that hash and the frame's seed.
+    fn fill_frames(plans: &[Self], tags: &[Tag], sinks: &mut [SlotSink<'_>]) {
+        let mut tallies = vec![[0u32; HASH_LEVELS]; plans.len()];
         for tag in tags {
-            // The 0-based slot is `min(tz, max_level - 1)` with
-            // `tz <= 64`, so it always indexes the 65 bins.
-            let slot = mix_pair(tag.id, seed)
-                .trailing_zeros()
-                .min(self.max_level - 1);
-            if let Some(bin) = tally.get_mut(slot as usize) {
-                *bin += 1;
+            let id_hash = mix64(tag.id);
+            for (plan, tally) in plans.iter().zip(tallies.iter_mut()) {
+                // The 0-based slot is `min(tz, max_level - 1)` with
+                // `tz <= 64`, so it always indexes the 65 bins.
+                let slot = mix_pair_hashed(id_hash, u64::from(plan.seed))
+                    .trailing_zeros()
+                    .min(plan.max_level - 1);
+                if let Some(bin) = tally.get_mut(slot as usize) {
+                    *bin += 1;
+                }
             }
         }
-        for (slot, &n) in tally.iter().take(self.max_level as usize).enumerate() {
-            sink.record_n(slot, n);
+        for ((plan, tally), sink) in plans.iter().zip(&tallies).zip(sinks) {
+            for (slot, &n) in tally.iter().take(plan.max_level as usize).enumerate() {
+                sink.record_n(slot, n);
+            }
         }
     }
 }

@@ -17,15 +17,19 @@
 //! `response_fill_dispatched` mode, plus the `rn`-column fill of the
 //! XorBitget Bloom plan, must derive the same busy bitmap of the observed
 //! prefix and the same prefix response count from that ground truth. The
-//! ZOE walk's reject threshold is further held to the float-only reference
-//! walk, tag by tag, since both of its kernels share that walk.
+//! ZOE and geometric plans are also filled in multi-frame passes
+//! (`response_fills_with_threads`), a third side held frame by frame to
+//! each plan's own fill. The ZOE walk's reject threshold is further held
+//! to the float-only reference walk, tag by tag, since both of its kernels
+//! share that walk.
 
 use crate::common::geometric_frame_plan;
 use crate::ZoeSlotPlan;
 use rfid_bfce::{BfceConfig, BloomPlan, HasherKind};
 use rfid_sim::frame::{
     response_counts_reference_with_threads, response_counts_with_threads, response_fill_column,
-    response_fill_dispatched, ResponsePlan,
+    response_fill_dispatched, response_fill_with_threads, response_fills_with_threads,
+    ResponsePlan, ScalarRef,
 };
 use rfid_sim::{FillDispatch, FrameFill, RnColumn, Tag};
 
@@ -106,9 +110,22 @@ pub fn fill_kernels_diff(data: &[u8]) {
         });
         if selector & 3 == 3 {
             // ZOE kernel: a batch of w single-slot frames with
-            // participation p_n/1024.
-            let plan = ZoeSlotPlan::new(w, root, f64::from(p_n) / 1024.0);
+            // participation p_n/1024, then the same batch in a pass with a
+            // second full batch and a short one.
+            let p = f64::from(p_n) / 1024.0;
+            let plan = ZoeSlotPlan::new(w, root, p);
             check_plan(&tags, w, observe, threads, &plan);
+            let short = 1 + w / 3;
+            check_pass(
+                &tags,
+                &[(w, observe), (w, observe), (short, observe.min(short))],
+                &[
+                    plan,
+                    ZoeSlotPlan::new(w, root ^ 1, p),
+                    ZoeSlotPlan::new(short, root ^ 2, p),
+                ],
+                threads,
+            );
             for tag in &tags {
                 let (mut fast, mut float) = (Vec::new(), Vec::new());
                 plan.responses(tag, &mut fast);
@@ -125,6 +142,15 @@ pub fn fill_kernels_diff(data: &[u8]) {
             // in slot 0, f > 65 leaves slots no hash can reach.
             let plan = geometric_frame_plan(root as u32, w);
             check_plan(&tags, w, observe, threads, &plan);
+            let rounds: Vec<_> = (0..3)
+                .map(|i| geometric_frame_plan(root as u32 ^ i, w))
+                .collect();
+            check_pass(
+                &tags,
+                &[(w, observe), (w, w), (w, observe)],
+                &rounds,
+                threads,
+            );
         }
     }
 }
@@ -181,6 +207,27 @@ fn check_plan<P: ResponsePlan>(tags: &[Tag], w: usize, observe: usize, threads: 
     if plan.rn_column_width() == Some(w) {
         let column = RnColumn::new(tags, w);
         check(response_fill_column(&column, w, observe, plan), "rn column");
+    }
+}
+
+/// Hold a multi-frame pass to the one-frame fills: frame `i` of one
+/// [`response_fills_with_threads`] pass must be the scalar fill of
+/// `plans[i]` alone, which [`check_plan`] holds to the reference.
+fn check_pass<P: ResponsePlan>(
+    tags: &[Tag],
+    frames: &[(usize, usize)],
+    plans: &[P],
+    threads: usize,
+) {
+    let fills = response_fills_with_threads(tags, frames, plans, threads);
+    for (i, ((fill, &(w, observe)), plan)) in fills.into_iter().zip(frames).zip(plans).enumerate() {
+        check_plan(tags, w, observe, threads, plan);
+        let scalar = response_fill_with_threads(tags, w, observe, &ScalarRef(plan), threads);
+        // analysis:allow(panic-path): fuzz oracle — the panic is the crash report
+        assert_eq!(
+            fill, scalar,
+            "frame {i} of a multi-frame pass diverges from its plan's scalar fill"
+        );
     }
 }
 

@@ -7,7 +7,7 @@
 //! factor, a few frames); the BFCE paper uses it, run 10 times, as ZOE's
 //! rough-estimation front-end (Section V-C).
 
-use crate::common::geometric_frame_plan;
+use crate::common::{geometric_frame_plan, GeometricFramePlan};
 use rand::RngCore;
 use rfid_sim::{
     Accuracy, CardinalityEstimator, EstimationReport, PhaseReport, RfidSystem,
@@ -47,15 +47,17 @@ impl Lof {
     pub fn rough_estimate(&self, system: &mut RfidSystem, rng: &mut dyn RngCore) -> f64 {
         assert!(self.rounds >= 1, "LOF needs at least one round");
         assert!(self.frame >= 2, "LOF frame must have at least 2 slots");
+        // Nothing else draws from `rng` during the rounds, so drawing every
+        // round's seed up front leaves the stream as a per-round draw would,
+        // and the rounds fill in one pass over the tags.
+        let plans: Vec<GeometricFramePlan> = (0..self.rounds)
+            .map(|_| geometric_frame_plan(rng.next_u32(), self.frame))
+            .collect();
+        let widths = vec![self.frame; plans.len()];
+        let last = plans.len() - 1;
         let mut r_sum = 0.0f64;
-        for round in 0..self.rounds {
-            if round > 0 {
-                system.turnaround();
-            }
-            let seed = rng.next_u32();
-            system.broadcast(32);
-            let plan = geometric_frame_plan(seed, self.frame);
-            let frame = system.run_bitslot_frame(self.frame, &plan);
+        system.broadcast(32);
+        system.run_bitslot_frames(&plans, &widths, true, |system, round, frame| {
             // 1-based position of the first idle slot; all-busy caps at
             // frame + 1 (cardinality beyond this frame's resolution).
             let first_idle = (0..frame.observed())
@@ -63,7 +65,12 @@ impl Lof {
                 .map(|i| i + 1)
                 .unwrap_or(self.frame + 1);
             r_sum += first_idle as f64;
-        }
+            // Rounds are separated by a turnaround, then the next seed.
+            if round < last {
+                system.turnaround();
+                system.broadcast(32);
+            }
+        });
         let r_mean = r_sum / self.rounds as f64;
         FM_CORRECTION * 2f64.powf(r_mean - 1.0)
     }

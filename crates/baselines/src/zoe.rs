@@ -29,7 +29,7 @@
 use crate::common::{clamped_rho, required_trials, ZOE_OPTIMAL_LAMBDA};
 use crate::lof::Lof;
 use rand::RngCore;
-use rfid_hash::mix::{mix_pair, unit_f64};
+use rfid_hash::mix::{mix64, mix_pair, mix_pair_hashed, unit_f64};
 use rfid_hash::{stream_seed, SplitMix64};
 use rfid_sim::{
     Accuracy, CardinalityEstimator, EstimationReport, PhaseReport, ResponsePlan, RfidSystem,
@@ -88,7 +88,10 @@ const SLOT_BATCH: usize = 512;
 ///
 /// The scalar `responses()` path and the batched `fill_chunk` override run
 /// the *same* walk, so the two kernels are bitwise-identical by
-/// construction and the property suite holds them to it.
+/// construction and the property suite holds them to it. The batches of
+/// one [`Zoe`] slot run fill in one pass ([`ResponsePlan::fill_frames`]):
+/// each tag's `mix64(tag.id)` is computed once and every batch's walk
+/// seeds from it.
 #[derive(Debug, Clone, Copy)]
 pub struct ZoeSlotPlan {
     batch: usize,
@@ -102,6 +105,12 @@ pub struct ZoeSlotPlan {
     /// before the first slot; `2^53` when no draw can.
     reject: u64,
 }
+
+/// Tags whose ID hashes a multi-batch fill computes before walking each
+/// batch over them. At 100k tags and 11 batches on a 2-vCPU Xeon, walking
+/// block by block took 3.6 ms against 4.2 ms for walking every batch tag
+/// by tag (block sizes 16 to 256 timed alike).
+const ID_BLOCK: usize = 64;
 
 /// Draw values past the float test's transition `k0` that
 /// [`reject_threshold`] still leaves to the float path.
@@ -194,8 +203,15 @@ impl ZoeSlotPlan {
     /// `ln(1-u)` is finite; the remaining-slot guard runs before the cast,
     /// so the cast never truncates.
     #[inline]
-    fn walk(&self, tag: &Tag, mut visit: impl FnMut(usize)) {
-        let mut draws = SplitMix64::new(mix_pair(tag.id, self.batch_root));
+    fn walk(&self, tag: &Tag, visit: impl FnMut(usize)) {
+        self.walk_hashed(mix64(tag.id), visit);
+    }
+
+    /// [`walk`](Self::walk) from the tag's ID hash `mix64(tag.id)`, which
+    /// a multi-batch fill computes once for all its batches.
+    #[inline]
+    fn walk_hashed(&self, id_hash: u64, mut visit: impl FnMut(usize)) {
+        let mut draws = SplitMix64::new(mix_pair_hashed(id_hash, self.batch_root));
         let mut draw = draws.next_u64();
         if draw >> 11 >= self.reject {
             return;
@@ -244,8 +260,24 @@ impl ResponsePlan for ZoeSlotPlan {
     }
 
     fn fill_chunk(&self, tags: &[Tag], sink: &mut SlotSink<'_>) {
-        for tag in tags {
-            self.walk(tag, |slot| sink.record(slot));
+        Self::fill_frames(std::slice::from_ref(self), tags, std::slice::from_mut(sink));
+    }
+
+    /// One walk over `tags` for every batch: each tag's ID is hashed once,
+    /// then each batch's walk starts from that hash. The IDs are hashed a
+    /// block at a time and each batch then walks the whole block, so one
+    /// batch's parameters stay in registers through a tight loop.
+    fn fill_frames(plans: &[Self], tags: &[Tag], sinks: &mut [SlotSink<'_>]) {
+        let mut hashes = [0u64; ID_BLOCK];
+        for block in tags.chunks(ID_BLOCK) {
+            for (h, tag) in hashes.iter_mut().zip(block) {
+                *h = mix64(tag.id);
+            }
+            for (plan, sink) in plans.iter().zip(sinks.iter_mut()) {
+                for &h in hashes.iter().take(block.len()) {
+                    plan.walk_hashed(h, |slot| sink.record(slot));
+                }
+            }
         }
     }
 }
@@ -267,20 +299,25 @@ impl Zoe {
         // One estimator-stream draw per call seeds every batch root
         // deterministically: batch `i` is rooted at its `i`-th draw.
         let mut roots = SplitMix64::new(rng.next_u64());
-        let mut idle = 0u64;
-        let mut remaining = count;
-        while remaining > 0 {
-            let batch = remaining.min(SLOT_BATCH as u64) as usize;
-            let plan = ZoeSlotPlan::new(batch, roots.next_u64(), p);
-            // One logical single-slot frame per derived seed; simulated as
-            // one observation pass with per-slot charging below.
-            let frame = system.run_uncharged_bitslot_frame(batch, &plan);
-            idle += frame.idle_count() as u64;
-            system.charge_broadcasts(32, batch as u64);
-            system.charge_bitslots(batch as u64);
-            system.charge_turnarounds(batch as u64);
-            remaining -= batch as u64;
+        let mut widths = vec![SLOT_BATCH; (count / SLOT_BATCH as u64) as usize];
+        let tail = (count % SLOT_BATCH as u64) as usize;
+        if tail > 0 {
+            widths.push(tail);
         }
+        let plans: Vec<ZoeSlotPlan> = widths
+            .iter()
+            .map(|&batch| ZoeSlotPlan::new(batch, roots.next_u64(), p))
+            .collect();
+        // One logical single-slot frame per derived seed; each batch is
+        // simulated as one observation with per-slot charging after it.
+        let mut idle = 0u64;
+        system.run_bitslot_frames(&plans, &widths, false, |system, _, frame| {
+            idle += frame.idle_count() as u64;
+            let batch = frame.observed() as u64;
+            system.charge_broadcasts(32, batch);
+            system.charge_bitslots(batch);
+            system.charge_turnarounds(batch);
+        });
         idle
     }
 }

@@ -192,3 +192,82 @@ fn zoe_walk_rate_and_order_are_sane() {
         assert_eq!(everything, want);
     });
 }
+
+/// Frame by frame, a multi-frame fill (`ResponsePlan::fill_frames`, one
+/// pass over the tags for all frames) of ZOE seed batches and of LOF
+/// geometric frames equals each plan's own `fill_chunk` and its scalar
+/// `responses()`: the same busy bits and prefix responses. Passes of 1, 2,
+/// 10 and 11 frames, at one and two workers, over populations at the
+/// worker split (1024 tags) and the ZOE ID-hash block (64 tags).
+#[test]
+fn multi_frame_fills_match_each_plans_own_fill() {
+    use rfid_baselines::common::{geometric_frame_plan, GeometricFramePlan};
+    use rfid_sim::frame::{response_fill_with_threads, response_fills_with_threads};
+    use rfid_sim::{ResponsePlan, ScalarRef, Tag};
+
+    fn assert_frames_match<P: ResponsePlan>(
+        tags: &[Tag],
+        frames: &[(usize, usize)],
+        plans: &[P],
+        threads: usize,
+    ) {
+        let fills = response_fills_with_threads(tags, frames, plans, threads);
+        assert_eq!(fills.len(), plans.len());
+        for (i, ((fill, &(w, observe)), plan)) in fills.iter().zip(frames).zip(plans).enumerate() {
+            let own = response_fill_with_threads(tags, w, observe, plan, 1);
+            let scalar = response_fill_with_threads(tags, w, observe, &ScalarRef(plan), 1);
+            assert_eq!(
+                fill,
+                &own,
+                "frame {i} of {}: not the plan's fill_chunk",
+                plans.len()
+            );
+            assert_eq!(
+                fill,
+                &scalar,
+                "frame {i} of {}: not the scalar responses()",
+                plans.len()
+            );
+        }
+    }
+
+    check("multi_frame_fills_match_each_plans_own_fill", 48, |g| {
+        let n = g.pick(&[0usize, 1, 63, 64, 65, 1000, 1023, 1024, 1025]);
+        let tags: Vec<Tag> = (0..n)
+            .map(|_| Tag {
+                id: g.u64(),
+                rn: g.u32(),
+            })
+            .collect();
+        let (k, threads) = (g.pick(&[1usize, 2, 10, 11]), g.pick(&[1usize, 2]));
+        // A frame observed in full, or up to a prefix, half of the time each.
+        let observe = |g: &mut rfid_check::Gen, w: usize| if g.bool() { w } else { g.range(0..=w) };
+
+        // ZOE: 512-slot and shorter batches, the last one short, at a load
+        // log-uniform from the production 1.594/n up to 1.
+        let floor = (1.594 / n.max(1) as f64).min(1.0);
+        let p = floor.powf(g.f64(0.0..1.0));
+        let widths: Vec<usize> = (0..k)
+            .map(|i| {
+                if i + 1 < k && g.bool() {
+                    512
+                } else {
+                    g.range(1usize..512)
+                }
+            })
+            .collect();
+        let zoe: Vec<ZoeSlotPlan> = widths
+            .iter()
+            .map(|&batch| ZoeSlotPlan::new(batch, g.u64(), p))
+            .collect();
+        let frames: Vec<(usize, usize)> = widths.iter().map(|&w| (w, observe(g, w))).collect();
+        assert_frames_match(&tags, &frames, &zoe, threads);
+
+        // LOF: k geometric frames of f levels under their own seeds.
+        let f = g.pick(&[1usize, 2, 32, 65, 100]);
+        let lof: Vec<GeometricFramePlan> =
+            (0..k).map(|_| geometric_frame_plan(g.u32(), f)).collect();
+        let frames: Vec<(usize, usize)> = (0..k).map(|_| (f, observe(g, f))).collect();
+        assert_frames_match(&tags, &frames, &lof, threads);
+    });
+}

@@ -61,7 +61,19 @@ fn odd_inverse(a: u64) -> u64 {
 /// `(tag identity, reader seed)` — e.g. ZOE's per-slot participation draws.
 #[inline]
 pub fn mix_pair(a: u64, b: u64) -> u64 {
-    mix64(mix64(a) ^ b.rotate_left(32))
+    mix_pair_hashed(mix64(a), b)
+}
+
+/// [`mix_pair`] from `ha = mix64(a)`: a kernel that pairs one `a` with many
+/// `b` hashes `a` once and derives each pair from it.
+///
+/// ```
+/// use rfid_hash::mix::{mix64, mix_pair, mix_pair_hashed};
+/// assert_eq!(mix_pair_hashed(mix64(7), 99), mix_pair(7, 99));
+/// ```
+#[inline]
+pub fn mix_pair_hashed(ha: u64, b: u64) -> u64 {
+    mix64(ha ^ b.rotate_left(32))
 }
 
 /// Map a 64-bit hash to a bucket in `[0, n)` without modulo bias, using the

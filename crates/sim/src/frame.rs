@@ -225,6 +225,23 @@ pub trait ResponsePlan: Sync {
         }
     }
 
+    /// Record frame `i` of a multi-frame pass into `sinks[i]`: every
+    /// response of every tag in `tags` to `plans[i]`, for each `i`.
+    ///
+    /// The default runs [`fill_chunk`](Self::fill_chunk) once per plan.
+    /// Plans whose frames each hash the tag ID override it to walk `tags`
+    /// once and hash each ID once for all their frames; an override must
+    /// record into each sink exactly what that plan's `fill_chunk` would.
+    /// Callers pass as many sinks as plans.
+    fn fill_frames(plans: &[Self], tags: &[Tag], sinks: &mut [SlotSink<'_>])
+    where
+        Self: Sized,
+    {
+        for (plan, sink) in plans.iter().zip(sinks) {
+            plan.fill_chunk(tags, sink);
+        }
+    }
+
     /// The frame width `w` if the plan reads nothing of a tag but its `rn`
     /// and can fill a `w`-slot frame (`w` a power of two up to
     /// `RnColumn::MAX_WIDTH`) from the population's [`RnColumn`] through
@@ -444,6 +461,67 @@ pub fn response_fill_with_threads<P: ResponsePlan>(
         busy,
         prefix_responses,
     }
+}
+
+/// Fill several bit-slot frames in one pass over `tags`: frame `i` runs
+/// `plans[i]` over `frames[i] = (w, observe)`, a `w`-slot frame the reader
+/// stops after `observe` slots.
+///
+/// Frame by frame bitwise identical to [`response_fill_with_threads`] per
+/// plan: each worker folds its chunk through the plans' multi-frame kernel
+/// ([`ResponsePlan::fill_frames`]) into one busy sink per frame, and the
+/// per-frame partials merge as in the one-frame fill. Workers are counted
+/// and floored as there.
+pub fn response_fills_with_threads<P: ResponsePlan>(
+    tags: &[Tag],
+    frames: &[(usize, usize)],
+    plans: &[P],
+    threads: usize,
+) -> Vec<FrameFill> {
+    assert_eq!(frames.len(), plans.len(), "one (w, observe) shape per plan");
+    assert!(
+        frames.iter().all(|&(w, _)| w > 0),
+        "frame must have at least one slot"
+    );
+    assert!(
+        frames.iter().all(|&(w, observe)| observe <= w),
+        "cannot observe more slots than a frame has"
+    );
+    if plans.is_empty() {
+        return Vec::new();
+    }
+    let threads = floored_threads(tags.len(), threads);
+    let partials = par_fold_chunks_with_threads(
+        tags,
+        threads,
+        || {
+            frames
+                .iter()
+                .map(|&(_, observe)| (Bitmap::zeros(observe), 0u64))
+                .collect::<Vec<_>>()
+        },
+        |acc, chunk| {
+            let mut sinks: Vec<SlotSink<'_>> = acc
+                .iter_mut()
+                .zip(frames)
+                .map(|((busy, prefix), &(w, _))| SlotSink::busy(w, busy, prefix))
+                .collect();
+            P::fill_frames(plans, chunk, &mut sinks);
+        },
+        |acc, other| {
+            for ((busy, prefix), (other_busy, other_prefix)) in acc.iter_mut().zip(other) {
+                busy.or_assign(&other_busy);
+                *prefix += other_prefix;
+            }
+        },
+    );
+    partials
+        .into_iter()
+        .map(|(busy, prefix_responses)| FrameFill {
+            busy,
+            prefix_responses,
+        })
+        .collect()
 }
 
 /// Fill a `w`-slot bit-slot frame the reader stops after `observe` slots

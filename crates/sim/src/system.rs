@@ -22,10 +22,12 @@ use crate::column::RnColumn;
 use crate::dispatch::FillDispatch;
 use crate::fault::{self, FaultPlan, FrameFaults, Quality};
 use crate::frame::{
-    response_counts_dispatched, response_fill_column, response_fill_dispatched, sense_aloha,
-    BitFrame, FrameFill, ResponsePlan, MIN_TAGS_PER_THREAD,
+    response_counts_dispatched, response_fill_column, response_fill_dispatched,
+    response_fills_with_threads, sense_aloha, BitFrame, FrameFill, ResponsePlan,
+    MIN_TAGS_PER_THREAD,
 };
 use crate::ledger::{AirTime, AirTimeLedger};
+use crate::parallel::thread_count;
 use crate::tag::TagPopulation;
 use crate::timing::Timing;
 use rfid_hash::SplitMix64;
@@ -479,28 +481,72 @@ impl RfidSystem {
         sense_aloha(&counts, self.channel.as_ref(), &mut self.noise)
     }
 
-    /// Run a bit-slot frame **without** charging the ledger.
+    /// Run one fully observed bit-slot frame per plan, frame `i` of
+    /// `widths[i]` slots, handing each observation in order to `after`
+    /// with its index.
     ///
-    /// For protocols whose air-time structure differs from the contiguous
-    /// train convention — e.g. ZOE interleaves a 32-bit seed broadcast with
-    /// every single-slot frame — the caller simulates a *batch* of logical
-    /// frames in one observation pass and then charges the real schedule
-    /// explicitly via [`charge_broadcasts`](Self::charge_broadcasts),
+    /// A phase whose frame plans are all known up front — LOF's rounds,
+    /// ZOE's seed batches — fills its frames in one pass over the tags
+    /// ([`ResponsePlan::fill_frames`]) instead of one pass per frame.
+    /// Everything else runs frame by frame in order: each frame begins,
+    /// collects and senses exactly as a one-frame run does, then `after`
+    /// runs, so the charges it makes land between the frames. Frame
+    /// indices, fault schedules, [`Quality`], the channel-noise stream,
+    /// the ledger's `f64` sums and the trace therefore come out as a loop
+    /// of one-frame runs gives them. `after` may charge the ledger but
+    /// must not run frames: the one pass has fixed the frame indices.
+    ///
+    /// The one pass covers the leading frames that the population's `Tag`
+    /// slice fills under [`FillDispatch::Batched`] and that come before a
+    /// scheduled reader dropout. The rest — frames at or after the
+    /// dropout, plans filling from the `rn` column, every frame under
+    /// [`FillDispatch::Scalar`] — are filled when they run, as one-frame
+    /// runs fill them. Fills are pure functions of the population and
+    /// the plan, so filling early changes no observation.
+    ///
+    /// `timed` frames charge their bit-slots (and any retry overhead) as
+    /// [`run_bitslot_frame`](Self::run_bitslot_frame) does. Untimed frames
+    /// leave the air *time* to the caller — ZOE interleaves a 32-bit seed
+    /// broadcast with every single-slot frame and charges that schedule
+    /// via [`charge_broadcasts`](Self::charge_broadcasts),
     /// [`charge_bitslots`](Self::charge_bitslots) and
-    /// [`charge_turnarounds`](Self::charge_turnarounds). Faults still
-    /// apply (the batch counts as one frame of the schedule); only the
-    /// *time* accounting is left to the caller.
-    pub fn run_uncharged_bitslot_frame<P: ResponsePlan>(
+    /// [`charge_turnarounds`](Self::charge_turnarounds). The tags really
+    /// do transmit, so tag energy is charged either way.
+    pub fn run_bitslot_frames<P: ResponsePlan>(
         &mut self,
-        w: usize,
-        plan: &P,
-    ) -> BitFrame {
-        let frame = self.begin_frame(w);
-        let fill = self.bitslot_truth(w, w, plan, frame);
-        // "Uncharged" refers to air *time* only; the tags really do
-        // transmit, so the energy counter is always kept accurate. With
-        // `observe = w` the prefix count covers every transmission.
-        self.collect_bitslot_frame(fill, frame, false)
+        plans: &[P],
+        widths: &[usize],
+        timed: bool,
+        mut after: impl FnMut(&mut Self, usize, BitFrame),
+    ) {
+        assert_eq!(plans.len(), widths.len(), "one width per frame plan");
+        let first = self.frame_index;
+        let dropout = self.faults.as_ref().and_then(|p| p.dropout()).map(|d| d.frame);
+        let one_pass = match self.dispatch {
+            FillDispatch::Batched => plans
+                .iter()
+                .zip(widths)
+                .zip(first..)
+                .take_while(|&((plan, &w), frame)| {
+                    dropout.is_none_or(|d| frame < d) && plan.rn_column_width() != Some(w)
+                })
+                .count(),
+            FillDispatch::Scalar => 0,
+        };
+        let tags = self.population.tags();
+        let shapes: Vec<(usize, usize)> = widths[..one_pass].iter().map(|&w| (w, w)).collect();
+        let threads = thread_count(tags.len(), self.frame_min_chunk);
+        let mut filled =
+            response_fills_with_threads(tags, &shapes, &plans[..one_pass], threads).into_iter();
+        for (i, (plan, &w)) in plans.iter().zip(widths).enumerate() {
+            let frame = self.begin_frame(w);
+            let fill = match filled.next() {
+                Some(fill) => fill,
+                None => self.bitslot_truth(w, w, plan, frame),
+            };
+            let observation = self.collect_bitslot_frame(fill, frame, timed);
+            after(self, i, observation);
+        }
     }
 
     /// Explicitly charge `count` reader broadcasts of `bits` bits each

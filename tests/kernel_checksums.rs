@@ -10,7 +10,10 @@
 //! equivalence break between a scalar path and its batched twin, or an
 //! intentional redefinition that must re-pin the constant in the same
 //! change. Every path of a scalar/batched(/dispatch/column) group must
-//! reproduce the same constant.
+//! reproduce the same constant. The ZOE-slot and geometric-frame batched
+//! rows are also reproduced through the multi-frame fill
+//! (`response_fills_with_threads`), alone and as a frame of a ten-frame
+//! pass.
 //!
 //! No timing, no `rand`, no random cases: the inputs come from `SplitMix64`
 //! alone, so the pinned constants move only when a kernel's output does.
@@ -23,7 +26,8 @@ use rfid_bfce_repro::hash::{
 };
 use rfid_bfce_repro::sim::frame::{
     response_counts_reference_with_threads, response_counts_with_threads, response_fill_column,
-    response_fill_dispatched, response_fill_with_threads, BitFrame, ResponsePlan, ScalarRef,
+    response_fill_dispatched, response_fill_with_threads, response_fills_with_threads, BitFrame,
+    ResponsePlan, ScalarRef,
 };
 use rfid_bfce_repro::sim::{Bitmap, FillDispatch, FrameFill, PerfectChannel, RnColumn, Tag};
 
@@ -90,6 +94,15 @@ fn slot_checksum(slots: impl IntoIterator<Item = usize>) -> u64 {
     slots
         .into_iter()
         .fold(0u64, |h, slot| h.rotate_left(5) ^ slot as u64)
+}
+
+/// The pinned checksum of the row `name`.
+fn pinned(name: &str) -> u64 {
+    PINNED
+        .iter()
+        .find(|(row, _)| *row == name)
+        .map(|&(_, sum)| sum)
+        .unwrap_or_else(|| panic!("no pinned row {name}"))
 }
 
 /// Compare the computed `(name, checksum)` rows against the pinned rows
@@ -211,6 +224,27 @@ fn zoe_slot_checksums() {
         computed.push((format!("zoe_slots/scalar/n={n}"), checksum(scalar)));
         computed.push((format!("zoe_slots/batched/n={n}"), checksum(batched)));
         computed.push((format!("zoe_slots/dispatch/n={n}"), checksum(dispatch)));
+
+        // The multi-frame fill reproduces the batched row: the batch alone,
+        // and as batch 4 of a ten-batch pass whose last batch is short.
+        let row = format!("zoe_slots/batched/n={n}");
+        let alone = response_fills_with_threads(&tags, &[(batch, batch)], &[plan], 1);
+        assert_eq!(
+            checksum(alone[0].clone()),
+            pinned(&row),
+            "{row}: one-batch pass"
+        );
+        let mut pass: Vec<ZoeSlotPlan> = (0..10u64)
+            .map(|i| ZoeSlotPlan::new(if i == 9 { 100 } else { batch }, 0x7A55 + i, p))
+            .collect();
+        pass[4] = plan;
+        let shapes: Vec<(usize, usize)> = pass.iter().map(|b| (b.batch(), b.batch())).collect();
+        let fills = response_fills_with_threads(&tags, &shapes, &pass, 1);
+        assert_eq!(
+            checksum(fills[4].clone()),
+            pinned(&row),
+            "{row}: batch 4 of 10"
+        );
     }
     assert_pinned("zoe_slots/", &computed);
 }
@@ -221,6 +255,22 @@ fn frame_digest<P: ResponsePlan>(plan: &P, tags: &[Tag], f: usize, threads: usiz
     let counts = response_counts_with_threads(tags, f, plan, threads);
     let full = response_fill_with_threads(tags, f, f, plan, threads);
     let prefix = response_fill_with_threads(tags, f, 8, plan, threads);
+    digest(&counts, &full, &prefix)
+}
+
+/// [`frame_digest`] of frame `at` of `plans`, its two fills taken from
+/// multi-frame passes over all the plans (whole frames, then 8-slot
+/// prefixes).
+fn frame_digest_in_pass<P: ResponsePlan>(plans: &[P], at: usize, tags: &[Tag], f: usize) -> u64 {
+    let counts = response_counts_with_threads(tags, f, &plans[at], 1);
+    let pass = |observe: usize| {
+        let shapes = vec![(f, observe); plans.len()];
+        response_fills_with_threads(tags, &shapes, plans, 1).swap_remove(at)
+    };
+    digest(&counts, &pass(f), &pass(8))
+}
+
+fn digest(counts: &[u32], full: &FrameFill, prefix: &FrameFill) -> u64 {
     slot_checksum(counts.iter().map(|&c| c as usize))
         ^ fill_checksum(&full.busy, full.prefix_responses).rotate_left(21)
         ^ fill_checksum(&prefix.busy, prefix.prefix_responses).rotate_left(42)
@@ -250,6 +300,21 @@ fn geometric_frame_checksums() {
             frame_digest(&ScalarRef(&plan), &tags, f, 1),
         ));
         computed.push((format!("geometric_frame/batched/n={n}"), batched));
+
+        // The multi-frame fill reproduces the batched row: the frame alone,
+        // and as round 4 of ten LOF rounds.
+        let row = format!("geometric_frame/batched/n={n}");
+        let alone = frame_digest_in_pass(&[plan], 0, &tags, f);
+        assert_eq!(alone, pinned(&row), "{row}: one-frame pass");
+        let mut rounds: Vec<_> = (0..10)
+            .map(|i| geometric_frame_plan(seed ^ (i + 1), f))
+            .collect();
+        rounds[4] = plan;
+        assert_eq!(
+            frame_digest_in_pass(&rounds, 4, &tags, f),
+            pinned(&row),
+            "{row}: round 4 of 10"
+        );
     }
     assert_pinned("geometric_frame/", &computed);
 }
