@@ -476,7 +476,11 @@ struct WalkResult {
 /// Parse `let [mut] name [: ty] =` at token `i`; returns the bound names
 /// and the index of the `=` token. `None` when there is no initializer
 /// before the statement ends.
-fn let_binding(file: &SourceFile, i: usize, end: usize) -> Option<(Vec<String>, usize)> {
+pub(crate) fn let_binding(
+    file: &SourceFile,
+    i: usize,
+    end: usize,
+) -> Option<(Vec<String>, usize)> {
     let mut names = Vec::new();
     let mut j = i + 1;
     let mut depth = 0i64;
@@ -519,7 +523,7 @@ fn let_binding(file: &SourceFile, i: usize, end: usize) -> Option<(Vec<String>, 
 
 /// Index one past the end of the expression starting at `start`: the
 /// matching `;` (or an unbalanced closer) at depth 0.
-fn expr_end(file: &SourceFile, start: usize, end: usize) -> usize {
+pub(crate) fn expr_end(file: &SourceFile, start: usize, end: usize) -> usize {
     let mut depth = 0i64;
     let mut j = start;
     while j < end {

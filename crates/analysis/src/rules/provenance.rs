@@ -5,8 +5,10 @@
 //! `rfid_hash::stream_seed`. The rule flags the seed argument when it is
 //!
 //! - ad-hoc arithmetic: an operator (`+ ^ * | <<`) at paren depth 0 with
-//!   no `stream_seed` anywhere in the argument. Affine schedules such as
-//!   `seed + i` or `seed ^ 0xABCD` correlate "independent" streams;
+//!   no `stream_seed` anywhere in the argument, or in the initializer of
+//!   the `let` that binds a bare local argument (`let s = seed ^ 3;
+//!   SplitMix64::new(s)`), followed one binding deep. Affine schedules
+//!   such as `seed + i` or `seed ^ 0xABCD` correlate "independent" streams;
 //! - a hard-coded literal, written at the call or reached through
 //!   variables, consts and calls ([`Provenance::Literal`]);
 //! - a wall-clock or OS-entropy source ([`Provenance::External`]).
@@ -20,7 +22,7 @@
 
 use super::{is_determinism_scope, push, Finding, RuleId};
 use crate::callgraph::CallGraph;
-use crate::dataflow::{split_args, Provenance};
+use crate::dataflow::{expr_end, let_binding, split_args, Provenance};
 use crate::effects::PRNG_TYPES;
 use crate::fixpoint::Summaries;
 use crate::lexer::TokenKind;
@@ -80,6 +82,10 @@ pub fn check_seed_provenance(
             };
             let problem = if is_ad_hoc_arithmetic(file, seed_arg.clone()) {
                 "is ad-hoc arithmetic, which correlates streams"
+            } else if let_initializer(file, def.body_tokens.clone(), seed_arg.clone(), i)
+                .is_some_and(|init| is_ad_hoc_arithmetic(file, init))
+            {
+                "is a local bound to ad-hoc arithmetic, which correlates streams"
             } else {
                 match summaries.eval_at(f, files, graph, seed_arg).provenance {
                     Some(Provenance::Literal) => {
@@ -135,6 +141,48 @@ fn is_ad_hoc_arithmetic(file: &SourceFile, arg: Range<usize>) -> bool {
         }
         op => depth == 0 && j > arg.start && SEED_OPERATORS.contains(&op),
     })
+}
+
+/// The initializer of the `let` that binds the bare local `arg` last
+/// before token `at` of the fn `body`, if `arg` is one identifier bound by
+/// a single-name `let` there and not reassigned before `at`.
+fn let_initializer(
+    file: &SourceFile,
+    body: Range<usize>,
+    arg: Range<usize>,
+    at: usize,
+) -> Option<Range<usize>> {
+    if arg.len() != 1 || file.tokens()[arg.start].kind != TokenKind::Ident {
+        return None;
+    }
+    let name = file.token_text(arg.start);
+    let mut init = None;
+    let mut j = body.start;
+    while j < at {
+        let text = file.token_text(j);
+        if text == "let" {
+            if let Some((names, eq)) = let_binding(file, j, body.end) {
+                let end = expr_end(file, eq + 1, body.end);
+                if end < at && names.iter().any(|n| n == name) {
+                    init = (names.len() == 1).then_some(eq + 1..end);
+                }
+                j = end;
+                continue;
+            }
+        }
+        let assigns = j + 1 < at
+            && text == name
+            && (j == body.start || file.token_text(j - 1) != ".")
+            && matches!(
+                file.token_text(j + 1),
+                "=" | "+=" | "-=" | "*=" | "/=" | "%=" | "^=" | "&=" | "|=" | "<<=" | ">>="
+            );
+        if assigns {
+            init = None;
+        }
+        j += 1;
+    }
+    init
 }
 
 #[cfg(test)]
@@ -279,13 +327,46 @@ mod tests {
     }
 
     #[test]
-    fn mixed_provenance_is_not_flagged() {
+    fn ad_hoc_arithmetic_bound_by_a_let_fires() {
         let found = run(&[(
             "crates/sim/src/lib.rs",
             "sim",
-            "pub fn f(seed: u64) { let s = seed ^ 3; let _r = SplitMix64::new(s); }\n",
+            "pub fn f(seed: u64) {\n    let s = seed ^ 3;\n    let _r = SplitMix64::new(s);\n}\n",
         )]);
-        assert!(found.is_empty(), "mixed seed+literal joins to Unknown: {found:?}");
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].line, 3, "fires at the constructor");
+        assert!(
+            found[0].message.contains("bound to ad-hoc"),
+            "{}",
+            found[0].message
+        );
+        // Typed and `mut` bindings are followed too.
+        assert_eq!(
+            fired("pub fn f(seed: u64, i: u64) { let mut s: u64 = seed + i; let _r = StdRng::seed_from_u64(s); }\n"),
+            vec![(RuleId::SeedProvenance, 1)]
+        );
+    }
+
+    #[test]
+    fn a_let_through_stream_seed_or_a_later_reassignment_passes() {
+        assert!(fired(
+            "pub fn f(seed: u64, i: u64) { let s = stream_seed(seed, i); let _r = SplitMix64::new(s); }\n"
+        )
+        .is_empty());
+        assert!(fired(
+            "pub fn f(seed: u64) { let mut s = seed ^ 3; s = stream_seed(seed, 3); let _r = SplitMix64::new(s); }\n"
+        )
+        .is_empty());
+        // Only the last binding before the constructor counts.
+        assert!(fired(
+            "pub fn f(seed: u64) { let s = seed ^ 3; let s = stream_seed(s, 1); let _r = SplitMix64::new(s); }\n"
+        )
+        .is_empty());
+        // One binding deep: a local bound to a local is not chased further.
+        assert!(fired(
+            "pub fn f(seed: u64) { let t = seed ^ 3; let s = t; let _r = SplitMix64::new(s); }\n"
+        )
+        .is_empty());
     }
 
     #[test]

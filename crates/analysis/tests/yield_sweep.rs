@@ -104,6 +104,16 @@ const CLASSES: &[Class] = &[
         rules: &["seed-provenance"],
     },
     Class {
+        name: "xor-seed-through-a-let",
+        path: "crates/sim/src/lib.rs",
+        after: None,
+        code: "pub fn sweep_let_seed(seed: u64) -> u64 {\n\
+               \x20   let s = seed ^ 3;\n\
+               \x20   SplitMix64::new(s).next_u64() // bug\n\
+               }\n",
+        rules: &["seed-provenance"],
+    },
+    Class {
         name: "literal-seed-two-calls-deep",
         path: "crates/sim/src/lib.rs",
         after: None,

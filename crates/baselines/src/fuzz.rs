@@ -19,9 +19,11 @@
 //! prefix and the same prefix response count from that ground truth. The
 //! ZOE and geometric plans are also filled in multi-frame passes
 //! (`response_fills_with_threads`), a third side held frame by frame to
-//! each plan's own fill. The ZOE walk's reject threshold is further held
-//! to the float-only reference walk, tag by tag, since both of its kernels
-//! share that walk.
+//! each plan's own fill; for ZOE both as independent batches and as one
+//! slot run (`ZoeSlotPlan::run`) with its suffix sub-run. The ZOE walk's
+//! reject threshold is further held to the float-only reference walk, tag
+//! by tag and at every batch offset, since both of its kernels share that
+//! walk.
 
 use crate::common::geometric_frame_plan;
 use crate::ZoeSlotPlan;
@@ -111,7 +113,7 @@ pub fn fill_kernels_diff(data: &[u8]) {
         if selector & 3 == 3 {
             // ZOE kernel: a batch of w single-slot frames with
             // participation p_n/1024, then the same batch in a pass with a
-            // second full batch and a short one.
+            // second full batch and a short one, each independent.
             let p = f64::from(p_n) / 1024.0;
             let plan = ZoeSlotPlan::new(w, root, p);
             check_plan(&tags, w, observe, threads, &plan);
@@ -126,16 +128,30 @@ pub fn fill_kernels_diff(data: &[u8]) {
                 ],
                 threads,
             );
-            for tag in &tags {
-                let (mut fast, mut float) = (Vec::new(), Vec::new());
-                plan.responses(tag, &mut fast);
-                plan.reference_responses(tag, &mut float);
-                // analysis:allow(panic-path): fuzz oracle — the panic is the crash report
-                assert_eq!(
-                    fast, float,
-                    "the reject threshold diverges from the float-only walk for tag {}",
-                    { tag.id }
-                );
+            // The same shapes as one slot run under `root`, whose batches
+            // are windows of one walk per tag, and its suffix sub-run.
+            let run = ZoeSlotPlan::run(root, p, &[w, w, short]);
+            let frames = [(w, observe), (w, observe), (short, observe.min(short))];
+            check_pass(&tags, &frames, &run, threads);
+            if let (Some((_, frames)), Some((_, batches))) =
+                (frames.split_first(), run.split_first())
+            {
+                check_pass(&tags, frames, batches, threads);
+            }
+            for plan in run.iter().chain([&plan]) {
+                for tag in &tags {
+                    let (mut fast, mut float) = (Vec::new(), Vec::new());
+                    plan.responses(tag, &mut fast);
+                    plan.reference_responses(tag, &mut float);
+                    // analysis:allow(panic-path): fuzz oracle — the panic is the crash report
+                    assert_eq!(
+                        fast, float,
+                        "the reject threshold diverges from the float-only walk for tag {} \
+                         at offset {}",
+                        { tag.id },
+                        plan.offset()
+                    );
+                }
             }
         } else {
             // LOF geometric frame of f = w levels: f = 1 puts every tag

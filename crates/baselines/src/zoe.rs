@@ -21,10 +21,12 @@
 //!   growth of the required time slots".
 //!
 //! The *simulation* of those single-slot frames is batched: each
-//! [`ZoeSlotPlan`] covers a whole seed batch, deriving per-frame seeds
-//! counter-mode from one batch root and walking each tag's participating
-//! slots by geometric gaps instead of testing every (tag, seed) pair —
-//! see the plan's docs for why this is distribution- and charge-exact.
+//! [`ZoeSlotPlan`] covers a whole seed batch, and the batches of one
+//! [`Zoe`] slot run are consecutive windows of one run. Per-frame seeds
+//! come counter-mode from the run's root, and each tag walks its
+//! participating slots of the whole run by geometric gaps instead of
+//! testing every (tag, seed) pair. See the plan's docs for why this is
+//! distribution- and charge-exact.
 
 use crate::common::{clamped_rho, required_trials, ZOE_OPTIMAL_LAMBDA};
 use crate::lof::Lof;
@@ -66,50 +68,58 @@ impl Default for Zoe {
 /// charged per-slot exactly as the real schedule would be).
 const SLOT_BATCH: usize = 512;
 
-/// One batch of ZOE single-slot frames as a [`ResponsePlan`].
+/// One batch of ZOE single-slot frames as a [`ResponsePlan`]: the slots
+/// `[offset, offset + batch)` of a slot run rooted at `run_root`.
 ///
-/// A batch of `batch` logical frames shares one 64-bit `batch_root`; the
-/// 32-bit seed the reader logically broadcasts for frame `i` is derived
-/// from it counter-mode ([`slot_seed`](Self::slot_seed), the
-/// [`stream_seed`] stream a `SplitMix64` rooted at `batch_root` draws). A
-/// tag's participation across the batch is one per-tag draw stream: seeded
-/// from `mix_pair(tag.id, batch_root)`, the tag walks its participating slots
-/// by **geometric gaps** — `gap = floor(ln(1-u) / ln(1-p))` slots are
-/// skipped between responses, which is exactly the run-length of a
-/// per-slot i.i.d. Bernoulli(`p`) sequence. The walk touches `O(p·batch)`
-/// slots per tag instead of evaluating all `batch` seeds, which is what
-/// removes the per-(tag, slot) hot spot the benchmark baseline flagged.
+/// The 32-bit seed the reader logically broadcasts for slot `s` of the
+/// run is derived from the 64-bit `run_root` counter-mode
+/// ([`slot_seed`](Self::slot_seed), the [`stream_seed`] stream a
+/// `SplitMix64` rooted at `run_root` draws). A tag's participation across
+/// the run is one per-tag draw stream: seeded from
+/// `mix_pair(tag.id, run_root)`, the tag walks its participating slots by
+/// **geometric gaps** — `gap = floor(ln(1-u) / ln(1-p))` slots are skipped
+/// between responses, which is exactly the run-length of a per-slot
+/// i.i.d. Bernoulli(`p`) sequence. The walk touches `O(p·slots)` slots
+/// per tag instead of evaluating every seed. A batch keeps the responses
+/// its window holds, renumbered from 0.
+///
+/// Gaps are memoryless, so one walk over a run of `L` slots has the same
+/// joint law as independent walks over each batch: i.i.d. Bernoulli(`p`)
+/// per (tag, slot), independent across tags. [`new`](Self::new) is the
+/// one-batch run at offset 0; [`run`](Self::run) cuts a run into batches.
 ///
 /// At the production load `p ≈ 1.594/n` almost every tag's *first* gap
-/// already overshoots the batch. The walk settles those tags with one
+/// already overshoots the whole run. The walk settles those tags with one
 /// integer compare: a tag whose first 53-bit draw is at or above the
-/// plan's `reject` threshold is silent, with no `ln_1p` or divide (see
+/// plan's `reject` threshold, computed for `offset + batch`, is silent in
+/// the batch and every one before it, with no `ln_1p` or divide (see
 /// [`reject_threshold`] for why that compare is exactly the float test).
 ///
 /// The scalar `responses()` path and the batched `fill_chunk` override run
-/// the *same* walk, so the two kernels are bitwise-identical by
-/// construction and the property suite holds them to it. The batches of
-/// one [`Zoe`] slot run fill in one pass ([`ResponsePlan::fill_frames`]):
-/// each tag's `mix64(tag.id)` is computed once and every batch's walk
-/// seeds from it.
+/// the *same* walk from slot 0, so the two kernels are bitwise-identical
+/// by construction and the property suite holds them to it. The batches
+/// of one [`Zoe`] slot run fill in one pass ([`ResponsePlan::fill_frames`]):
+/// each tag walks the run once and hands each slot to its batch's sink.
 #[derive(Debug, Clone, Copy)]
 pub struct ZoeSlotPlan {
     batch: usize,
-    batch_root: u64,
+    /// The batch's first slot in its run.
+    offset: usize,
+    run_root: u64,
     p: f64,
     /// `ln(1 - p)`, precomputed once per batch (strictly negative; `-inf`
     /// at `p = 1`, where every gap collapses to zero and every tag answers
     /// every slot).
     ln1mp: f64,
     /// First-draw values (`draw >> 11`) at or above this end the walk
-    /// before the first slot; `2^53` when no draw can.
+    /// before slot `offset + batch`; `2^53` when no draw can.
     reject: u64,
 }
 
-/// Tags whose ID hashes a multi-batch fill computes before walking each
-/// batch over them. At 100k tags and 11 batches on a 2-vCPU Xeon, walking
-/// block by block took 3.6 ms against 4.2 ms for walking every batch tag
-/// by tag (block sizes 16 to 256 timed alike).
+/// Tags whose ID hashes a multi-frame fill computes before walking each
+/// run over them. At 100k tags and 11 independent batches on a 2-vCPU
+/// Xeon, walking block by block took 3.6 ms against 4.2 ms for walking
+/// every batch tag by tag (block sizes 16 to 256 timed alike).
 const ID_BLOCK: usize = 64;
 
 /// Draw values past the float test's transition `k0` that
@@ -132,10 +142,10 @@ const REJECT_GUARD: u64 = 64;
 const DRAW_VALUES: u64 = 1 << 53;
 
 /// The float test that ends a walk at its first draw: the gap the draw
-/// value `x` implies is at least the whole batch.
+/// value `x` implies is at least the walk's `end` slots.
 #[inline]
-fn first_gap_overshoots(x: u64, ln1mp: f64, batch: usize) -> bool {
-    (-unit_f64(x << 11)).ln_1p() / ln1mp >= batch as f64
+fn first_gap_overshoots(x: u64, ln1mp: f64, end: usize) -> bool {
+    (-unit_f64(x << 11)).ln_1p() / ln1mp >= end as f64
 }
 
 /// A draw value from which every first draw ends the walk under its float
@@ -146,16 +156,16 @@ fn first_gap_overshoots(x: u64, ln1mp: f64, batch: usize) -> bool {
 /// `x` (`ln(1 - u)` falls, `ln(1 - p) < 0`), so that is *the* transition up
 /// to ulp-level wobble in `ln_1p`, which [`REJECT_GUARD`] absorbs. About 53
 /// evaluations per batch.
-fn reject_threshold(ln1mp: f64, batch: usize) -> u64 {
-    if !first_gap_overshoots(DRAW_VALUES - 1, ln1mp, batch) {
+fn reject_threshold(ln1mp: f64, end: usize) -> u64 {
+    if !first_gap_overshoots(DRAW_VALUES - 1, ln1mp, end) {
         return DRAW_VALUES;
     }
-    // Invariant: the test fails at `lo` (x = 0 gives gap 0 < batch) and
+    // Invariant: the test fails at `lo` (x = 0 gives gap 0 < end) and
     // holds at `hi`.
     let (mut lo, mut hi) = (0u64, DRAW_VALUES - 1);
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        if first_gap_overshoots(mid, ln1mp, batch) {
+        if first_gap_overshoots(mid, ln1mp, end) {
             hi = mid;
         } else {
             lo = mid;
@@ -166,17 +176,37 @@ fn reject_threshold(ln1mp: f64, batch: usize) -> u64 {
 
 impl ZoeSlotPlan {
     /// A batch of `batch` single-slot frames with participation `p`,
-    /// seeded from `batch_root`.
+    /// seeded from `batch_root`: the one-batch run at offset 0.
     pub fn new(batch: usize, batch_root: u64, p: f64) -> Self {
+        Self::window(0, batch, batch_root, p)
+    }
+
+    /// The batches of one slot run rooted at `run_root`: batch `i` has
+    /// `widths[i]` slots and starts where batch `i - 1` ends.
+    pub fn run(run_root: u64, p: f64, widths: &[usize]) -> Vec<Self> {
+        let mut offset = 0;
+        widths
+            .iter()
+            .map(|&batch| {
+                let plan = Self::window(offset, batch, run_root, p);
+                offset += batch;
+                plan
+            })
+            .collect()
+    }
+
+    /// The slots `[offset, offset + batch)` of the run rooted at `run_root`.
+    fn window(offset: usize, batch: usize, run_root: u64, p: f64) -> Self {
         assert!(batch >= 1, "batch must have at least one slot");
         assert!(p > 0.0 && p <= 1.0, "participation must lie in (0, 1]");
         let ln1mp = (-p).ln_1p();
         Self {
             batch,
-            batch_root,
+            offset,
+            run_root,
             p,
             ln1mp,
-            reject: reject_threshold(ln1mp, batch),
+            reject: reject_threshold(ln1mp, offset + batch),
         }
     }
 
@@ -185,33 +215,58 @@ impl ZoeSlotPlan {
         self.batch
     }
 
+    /// The batch's first slot in its run.
+    pub fn offset(&self) -> usize {
+        self.offset
+    }
+
     /// The participation probability per frame.
     pub fn p(&self) -> f64 {
         self.p
     }
 
+    /// One past the batch's last slot in its run.
+    fn end(&self) -> usize {
+        self.offset + self.batch
+    }
+
+    /// Whether `next` is the batch that follows this one in its run: the
+    /// same root and load, starting where this batch ends.
+    fn continued_by(&self, next: &Self) -> bool {
+        next.run_root == self.run_root
+            && next.p.to_bits() == self.p.to_bits()
+            && next.offset == self.end()
+    }
+
     /// The 32-bit seed the reader logically broadcasts for frame `i` of
     /// the batch (the high word of the counter-mode [`stream_seed`] draw,
-    /// matching the `i`-th [`SplitMix64::next_u64`] from `batch_root`).
+    /// matching the `(offset + i)`-th [`SplitMix64::next_u64`] from the run
+    /// root).
     pub fn slot_seed(&self, i: usize) -> u32 {
-        (stream_seed(self.batch_root, i as u64) >> 32) as u32
+        (stream_seed(self.run_root, (self.offset + i) as u64) >> 32) as u32
     }
 
-    /// Visit every slot of the batch this tag responds in, in increasing
-    /// order. A first draw at or above `reject` ends the walk at once;
-    /// every other draw takes the float test. `u ∈ [0, 1)` strictly, so
-    /// `ln(1-u)` is finite; the remaining-slot guard runs before the cast,
-    /// so the cast never truncates.
+    /// Visit every slot of the batch this tag responds in, numbered from
+    /// the batch's first slot, in increasing order.
     #[inline]
-    fn walk(&self, tag: &Tag, visit: impl FnMut(usize)) {
-        self.walk_hashed(mix64(tag.id), visit);
+    fn walk(&self, tag: &Tag, mut visit: impl FnMut(usize)) {
+        self.walk_run(mix64(tag.id), |slot| {
+            if let Some(i) = slot.checked_sub(self.offset) {
+                visit(i);
+            }
+        });
     }
 
-    /// [`walk`](Self::walk) from the tag's ID hash `mix64(tag.id)`, which
-    /// a multi-batch fill computes once for all its batches.
+    /// Visit every slot of the run before [`end`](Self::end) that the tag
+    /// with ID hash `mix64(tag.id)` responds in, in increasing order. A
+    /// first draw at or above `reject` ends the walk at once; every other
+    /// draw takes the float test. `u ∈ [0, 1)` strictly, so `ln(1-u)` is
+    /// finite; the remaining-slot guard runs before the cast, so the cast
+    /// never truncates.
     #[inline]
-    fn walk_hashed(&self, id_hash: u64, mut visit: impl FnMut(usize)) {
-        let mut draws = SplitMix64::new(mix_pair_hashed(id_hash, self.batch_root));
+    fn walk_run(&self, id_hash: u64, mut visit: impl FnMut(usize)) {
+        let end = self.end();
+        let mut draws = SplitMix64::new(mix_pair_hashed(id_hash, self.run_root));
         let mut draw = draws.next_u64();
         if draw >> 11 >= self.reject {
             return;
@@ -219,13 +274,13 @@ impl ZoeSlotPlan {
         let mut slot = 0usize;
         loop {
             let gap = (-unit_f64(draw)).ln_1p() / self.ln1mp;
-            if gap >= (self.batch - slot) as f64 {
+            if gap >= (end - slot) as f64 {
                 return;
             }
             slot += gap as usize;
             visit(slot);
             slot += 1;
-            if slot >= self.batch {
+            if slot >= end {
                 return;
             }
             draw = draws.next_u64();
@@ -233,22 +288,26 @@ impl ZoeSlotPlan {
     }
 
     /// The walk without the `reject` shortcut: every draw, the first
-    /// included, takes the float test. Retained as the exactness oracle
-    /// the unit tests and the `fill_kernels_diff` fuzz body hold
+    /// included, takes the float test, from the run's slot 0, and the
+    /// batch keeps its window. Retained as the exactness oracle the unit
+    /// tests and the `fill_kernels_diff` fuzz body hold
     /// [`responses`](ResponsePlan::responses) to; no production path
     /// calls it.
     #[doc(hidden)]
     pub fn reference_responses(&self, tag: &Tag, out: &mut Vec<usize>) {
-        let mut draws = SplitMix64::new(mix_pair(tag.id, self.batch_root));
+        let mut draws = SplitMix64::new(mix_pair(tag.id, self.run_root));
+        let end = self.end();
         let mut slot = 0usize;
-        while slot < self.batch {
+        while slot < end {
             let u = unit_f64(draws.next_u64());
             let gap = (-u).ln_1p() / self.ln1mp;
-            if gap >= (self.batch - slot) as f64 {
+            if gap >= (end - slot) as f64 {
                 return;
             }
             slot += gap as usize;
-            out.push(slot);
+            if slot >= self.offset {
+                out.push(slot - self.offset);
+            }
             slot += 1;
         }
     }
@@ -263,19 +322,44 @@ impl ResponsePlan for ZoeSlotPlan {
         Self::fill_frames(std::slice::from_ref(self), tags, std::slice::from_mut(sink));
     }
 
-    /// One walk over `tags` for every batch: each tag's ID is hashed once,
-    /// then each batch's walk starts from that hash. The IDs are hashed a
-    /// block at a time and each batch then walks the whole block, so one
-    /// batch's parameters stay in registers through a tight loop.
+    /// One walk per tag for every run of consecutive batches
+    /// ([`continued_by`](ZoeSlotPlan::continued_by)): the walk runs to the
+    /// last batch's end and hands each slot, in increasing order, to the
+    /// sink of the batch whose window holds it. Independent batches are
+    /// runs of one. The IDs are hashed a block at a time and each run then
+    /// walks the whole block, so one run's parameters stay in registers
+    /// through a tight loop.
     fn fill_frames(plans: &[Self], tags: &[Tag], sinks: &mut [SlotSink<'_>]) {
         let mut hashes = [0u64; ID_BLOCK];
         for block in tags.chunks(ID_BLOCK) {
             for (h, tag) in hashes.iter_mut().zip(block) {
                 *h = mix64(tag.id);
             }
-            for (plan, sink) in plans.iter().zip(sinks.iter_mut()) {
+            let mut rest = &mut *sinks;
+            for run in plans.chunk_by(|a, b| a.continued_by(b)) {
+                let Some((run_sinks, tail)) =
+                    std::mem::take(&mut rest).split_at_mut_checked(run.len())
+                else {
+                    return;
+                };
+                rest = tail;
+                let Some(last) = run.last() else {
+                    continue;
+                };
                 for &h in hashes.iter().take(block.len()) {
-                    plan.walk_hashed(h, |slot| sink.record(slot));
+                    let mut windows = run.iter().zip(run_sinks.iter_mut());
+                    let mut window = windows.next();
+                    last.walk_run(h, |slot| {
+                        while let Some((plan, sink)) = &mut window {
+                            if slot < plan.end() {
+                                if let Some(i) = slot.checked_sub(plan.offset) {
+                                    sink.record(i);
+                                }
+                                return;
+                            }
+                            window = windows.next();
+                        }
+                    });
                 }
             }
         }
@@ -296,18 +380,16 @@ impl Zoe {
         if count == 0 {
             return 0;
         }
-        // One estimator-stream draw per call seeds every batch root
-        // deterministically: batch `i` is rooted at its `i`-th draw.
-        let mut roots = SplitMix64::new(rng.next_u64());
+        // One estimator-stream draw per call roots the whole run at the
+        // first output of a `SplitMix64` seeded with it; the batches are
+        // consecutive windows of that run.
+        let run_root = SplitMix64::new(rng.next_u64()).next_u64();
         let mut widths = vec![SLOT_BATCH; (count / SLOT_BATCH as u64) as usize];
         let tail = (count % SLOT_BATCH as u64) as usize;
         if tail > 0 {
             widths.push(tail);
         }
-        let plans: Vec<ZoeSlotPlan> = widths
-            .iter()
-            .map(|&batch| ZoeSlotPlan::new(batch, roots.next_u64(), p))
-            .collect();
+        let plans = ZoeSlotPlan::run(run_root, p, &widths);
         // One logical single-slot frame per derived seed; each batch is
         // simulated as one observation with per-slot charging after it.
         let mut idle = 0u64;
@@ -568,6 +650,49 @@ mod tests {
     }
 
     #[test]
+    fn slot_seeds_continue_the_counter_stream_across_batches() {
+        let run = ZoeSlotPlan::run(99, 0.5, &[16, 16, 5]);
+        let whole = ZoeSlotPlan::new(37, 99, 0.5);
+        let mut stream = SplitMix64::new(99);
+        let mut slot = 0;
+        for plan in &run {
+            assert_eq!(plan.offset(), slot);
+            for i in 0..plan.batch() {
+                let seed = plan.slot_seed(i);
+                assert_eq!(seed, whole.slot_seed(slot), "slot {slot}");
+                assert_eq!(seed, (stream.next_u64() >> 32) as u32, "slot {slot}");
+                slot += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn batches_of_a_run_are_windows_of_one_walk() {
+        // Dense enough that most tags answer in every batch.
+        let (root, p) = (0xC0DE, 0.02);
+        let run = ZoeSlotPlan::run(root, p, &[512, 512, 100]);
+        let whole = ZoeSlotPlan::new(1124, root, p);
+        for tag in tags(300) {
+            let mut all = Vec::new();
+            whole.walk(&tag, |slot| all.push(slot));
+            let mut joined = Vec::new();
+            for plan in &run {
+                plan.walk(&tag, |slot| joined.push(plan.offset() + slot));
+            }
+            assert_eq!(joined, all, "id {}", { tag.id });
+        }
+        // Batch 0 is the one-batch run: bit for bit the plan `new` builds.
+        let first = ZoeSlotPlan::new(512, root, p);
+        assert_eq!(run[0].reject, first.reject);
+        for tag in tags(300) {
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            run[0].responses(&tag, &mut a);
+            first.responses(&tag, &mut b);
+            assert_eq!(a, b);
+        }
+    }
+
+    #[test]
     fn slot_seeds_follow_the_counter_stream() {
         use rfid_hash::stream_seed;
         let plan = ZoeSlotPlan::new(16, 99, 0.5);
@@ -587,13 +712,16 @@ mod tests {
 
     /// Batch sizes crossed with loads from the production `1.594/n` at
     /// n = 1k, 100k and 10M through about `1/batch` to one half and full
-    /// participation.
+    /// participation; each as a one-batch run and as the third batch of a
+    /// run whose first two have 512 slots.
     fn threshold_grid() -> Vec<ZoeSlotPlan> {
         let mut plans = Vec::new();
         for batch in [1usize, 7, 512] {
             let about_one_per_batch = 1.0 / (batch as f64 + 0.5);
             for p in [1.594e-3, 1.594e-5, 1.594e-7, about_one_per_batch, 0.5, 1.0] {
-                plans.push(ZoeSlotPlan::new(batch, 0x7E57 + batch as u64, p));
+                let root = 0x7E57 + batch as u64;
+                plans.push(ZoeSlotPlan::new(batch, root, p));
+                plans.extend(ZoeSlotPlan::run(root, p, &[512, 512, batch]).pop());
             }
         }
         plans
@@ -604,7 +732,7 @@ mod tests {
     /// `reject_threshold` searches.
     fn float_test_exits(plan: &ZoeSlotPlan, x: u64) -> bool {
         let u = unit_f64(x << 11);
-        (-u).ln_1p() / plan.ln1mp >= plan.batch as f64
+        (-u).ln_1p() / plan.ln1mp >= plan.end() as f64
     }
 
     #[test]
@@ -627,12 +755,12 @@ mod tests {
                     plan.p,
                     { tag.id }
                 );
-                let first = SplitMix64::new(mix_pair(tag.id, plan.batch_root)).next_u64();
+                let first = SplitMix64::new(mix_pair(tag.id, plan.run_root)).next_u64();
                 rejected += usize::from(first >> 11 >= plan.reject);
             }
             // The shortcut does the work at sparse loads: at the
             // production p nearly every tag leaves on the integer compare.
-            if plan.p * plan.batch as f64 <= 0.01 {
+            if plan.p * plan.end() as f64 <= 0.01 {
                 assert!(
                     rejected > 3_900,
                     "batch {} p {}: {rejected}",

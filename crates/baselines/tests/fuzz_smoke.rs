@@ -7,7 +7,8 @@
 //! runs of frames observed only in part, its slot-selective reads of a
 //! paper-sized probe and rough prefix and of a frame with fewer than 8
 //! sub-buckets, two seeds sharing one run, a
-//! geometric frame wider than 65 levels, degenerate populations) and then
+//! geometric frame wider than 65 levels, a sparse ZOE slot run whose
+//! later batches hold first responses, degenerate populations) and then
 //! hammering the body with deterministic mutations of the seeds from a
 //! fixed-seed xorshift (the shared driver in `rfid_analysis::fuzz_surface`).
 //! Any divergence the nightly fuzzer finds lands as a corpus file here

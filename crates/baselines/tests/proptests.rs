@@ -271,3 +271,69 @@ fn multi_frame_fills_match_each_plans_own_fill() {
         assert_frames_match(&tags, &frames, &lof, threads);
     });
 }
+
+/// The batches of one ZOE slot run (`ZoeSlotPlan::run`) are windows of one
+/// walk per tag: every contiguous sub-run `plans[a..b]`, filled in one
+/// multi-frame pass, equals each batch's own scalar `responses()` fill,
+/// and both equal the fill of the float-only reference walk. Runs of 1, 2,
+/// 10 and 11 batches whose last batch is short, at one and two workers,
+/// observed in full or up to a prefix, at a load log-uniform from the
+/// production 1.594/n up to 1.
+#[test]
+fn run_sub_fills_match_each_batchs_own_fill() {
+    use rfid_sim::frame::{response_fill_with_threads, response_fills_with_threads};
+    use rfid_sim::{ScalarRef, Tag};
+
+    check("run_sub_fills_match_each_batchs_own_fill", 32, |g| {
+        let n = g.pick(&[0usize, 1, 63, 64, 65, 1023, 1024, 1025]);
+        let tags: Vec<Tag> = (0..n)
+            .map(|_| Tag {
+                id: g.u64(),
+                rn: g.u32(),
+            })
+            .collect();
+        let (k, threads) = (g.pick(&[1usize, 2, 10, 11]), g.pick(&[1usize, 2]));
+        let full = g.pick(&[16usize, 512]);
+        let mut widths = vec![full; k - 1];
+        widths.push(g.range(1..full));
+        let floor = (1.594 / n.max(1) as f64).min(1.0);
+        let p = floor.powf(g.f64(0.0..1.0));
+        let plans = ZoeSlotPlan::run(g.u64(), p, &widths);
+        let frames: Vec<(usize, usize)> = widths
+            .iter()
+            .map(|&w| (w, if g.bool() { w } else { g.range(0..=w) }))
+            .collect();
+
+        let own: Vec<_> = plans
+            .iter()
+            .zip(&frames)
+            .map(|(plan, &(w, observe))| {
+                let reference =
+                    |tag: &Tag, out: &mut Vec<usize>| plan.reference_responses(tag, out);
+                let want = response_fill_with_threads(&tags, w, observe, &reference, 1);
+                let scalar = response_fill_with_threads(&tags, w, observe, &ScalarRef(plan), 1);
+                assert_eq!(
+                    scalar,
+                    want,
+                    "batch at offset {}: responses() is not the float-only walk",
+                    plan.offset()
+                );
+                want
+            })
+            .collect();
+        for a in 0..k {
+            for b in a + 1..=k {
+                let fills =
+                    response_fills_with_threads(&tags, &frames[a..b], &plans[a..b], threads);
+                for (i, (fill, want)) in fills.iter().zip(&own[a..b]).enumerate() {
+                    assert_eq!(
+                        fill,
+                        want,
+                        "batch {} of the sub-run {a}..{b} of {k} batches",
+                        a + i
+                    );
+                }
+            }
+        }
+    });
+}

@@ -13,7 +13,8 @@
 //! reproduce the same constant. The ZOE-slot and geometric-frame batched
 //! rows are also reproduced through the multi-frame fill
 //! (`response_fills_with_threads`), alone and as a frame of a ten-frame
-//! pass.
+//! pass; the `zoe_slots/run` row pins a whole slot run, whose batches are
+//! windows of one walk per tag.
 //!
 //! No timing, no `rand`, no random cases: the inputs come from `SplitMix64`
 //! alone, so the pinned constants move only when a kernel's output does.
@@ -33,7 +34,7 @@ use rfid_bfce_repro::sim::{Bitmap, FillDispatch, FrameFill, PerfectChannel, RnCo
 
 /// The pinned cases: name and checksum, grouped by kernel family.
 #[rustfmt::skip]
-const PINNED: [(&str, u64); 26] = [
+const PINNED: [(&str, u64); 27] = [
     ("frame_fill/scalar/n=1000/threads=1", 4622655124223342335),
     ("frame_fill/batched/n=1000/threads=1", 4622655124223342335),
     ("frame_fill/scalar/n=10000/threads=1", 10472075251486238470),
@@ -50,6 +51,7 @@ const PINNED: [(&str, u64); 26] = [
     ("zoe_slots/scalar/n=100000", 17382204074941499927),
     ("zoe_slots/batched/n=100000", 17382204074941499927),
     ("zoe_slots/dispatch/n=100000", 17382204074941499927),
+    ("zoe_slots/run/n=100000", 12082332515745177730),
     ("geometric_frame/scalar/n=10000", 9013288851175311269),
     ("geometric_frame/batched/n=10000", 9013288851175311269),
     ("geometric_frame/scalar/n=100000", 12878476326186413209),
@@ -201,7 +203,9 @@ fn frame_fill_checksums() {
 
 /// One 512-slot ZOE seed batch at the production participation
 /// `min(1.594/n, 1)`: the scalar scratch-buffer path, the sink-direct
-/// batched kernel, and the dispatch entry point at its default mode.
+/// batched kernel, and the dispatch entry point at its default mode. Then
+/// one eleven-batch slot run at 100k tags, whose batches are windows of
+/// one walk per tag.
 #[test]
 fn zoe_slot_checksums() {
     let batch = 512usize;
@@ -246,6 +250,40 @@ fn zoe_slot_checksums() {
             "{row}: batch 4 of 10"
         );
     }
+
+    // One slot run as `Zoe::run_slots` cuts it, ten full batches and a
+    // short one, filled in one pass at one and two workers and batch by
+    // batch through the scalar path.
+    let n = 100_000usize;
+    let tags = synth_tags(n);
+    let mut widths = vec![batch; 10];
+    widths.push(112);
+    let run = ZoeSlotPlan::run(0x2C4_5EED, 1.594 / n as f64, &widths);
+    let shapes: Vec<(usize, usize)> = widths.iter().map(|&w| (w, w)).collect();
+    let fold = |fills: Vec<FrameFill>| {
+        fills
+            .into_iter()
+            .fold(0u64, |h, fill| h.rotate_left(7) ^ checksum(fill))
+    };
+    let one = fold(response_fills_with_threads(&tags, &shapes, &run, 1));
+    assert_eq!(
+        fold(response_fills_with_threads(&tags, &shapes, &run, 2)),
+        one,
+        "zoe_slots/run/n={n}: threads=2 differs from threads=1"
+    );
+    let scalar = run
+        .iter()
+        .map(|plan| {
+            let w = plan.batch();
+            response_fill_with_threads(&tags, w, w, &ScalarRef(plan), 1)
+        })
+        .collect();
+    assert_eq!(
+        fold(scalar),
+        one,
+        "zoe_slots/run/n={n}: the scalar batches differ from the one pass"
+    );
+    computed.push((format!("zoe_slots/run/n={n}"), one));
     assert_pinned("zoe_slots/", &computed);
 }
 
