@@ -1,5 +1,6 @@
 //! Dependency-free `--key value` argument parsing for the `rfid` tool.
 
+use rfid_sim::Accuracy;
 use rfid_workloads::WorkloadSpec;
 
 /// Usage text printed by `rfid help` (and on parse errors).
@@ -255,6 +256,14 @@ fn parse_num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, ParseErr
         .map_err(|_| ParseError(format!("--{key}: cannot parse '{value}'")))
 }
 
+/// Reject an `--epsilon`/`--delta` pair that [`Accuracy::try_new`] would
+/// (NaN included), naming the flag.
+fn check_accuracy(epsilon: f64, delta: f64) -> Result<(), ParseError> {
+    Accuracy::try_new(epsilon, delta)
+        .map(drop)
+        .map_err(|err| ParseError(format!("--{err}")))
+}
+
 fn fill_estimate_opts(
     opts: &mut EstimateOpts,
     pairs: &[(&str, &str)],
@@ -274,12 +283,7 @@ fn fill_estimate_opts(
             other => return Err(ParseError(format!("unknown option --{other}"))),
         }
     }
-    if opts.epsilon <= 0.0 || opts.epsilon >= 1.0 {
-        return Err(ParseError("--epsilon must lie in (0, 1)".into()));
-    }
-    if opts.delta <= 0.0 || opts.delta >= 1.0 {
-        return Err(ParseError("--delta must lie in (0, 1)".into()));
-    }
+    check_accuracy(opts.epsilon, opts.delta)?;
     if opts.rounds == 0 {
         return Err(ParseError("--trials must be at least 1".into()));
     }
@@ -393,12 +397,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     }
                 }
             }
-            if opts.epsilon <= 0.0 || opts.epsilon >= 1.0 {
-                return Err(ParseError("--epsilon must lie in (0, 1)".into()));
-            }
-            if opts.delta <= 0.0 || opts.delta >= 1.0 {
-                return Err(ParseError("--delta must lie in (0, 1)".into()));
-            }
+            check_accuracy(opts.epsilon, opts.delta)?;
             if opts.trials == 0 {
                 return Err(ParseError("--trials must be at least 1".into()));
             }
@@ -665,6 +664,29 @@ mod tests {
         };
         assert_eq!(o.ber, 1.0);
         Ok(())
+    }
+
+    #[test]
+    fn non_finite_and_signed_zero_accuracy_is_rejected() {
+        for value in [
+            "NaN", "nan", "inf", "-inf", "-0", "0", "1", "-0.05", "1e308",
+        ] {
+            for sub in ["estimate", "trace", "compare", "robustness"] {
+                for flag in ["epsilon", "delta"] {
+                    let line = format!("{sub} --{flag} {value}");
+                    let Err(ParseError(msg)) = parse(&argv(&line)) else {
+                        panic!("`{line}` parsed");
+                    };
+                    assert!(
+                        msg.starts_with(&format!("--{flag} must lie in (0, 1)")),
+                        "`{line}`: {msg}"
+                    );
+                }
+            }
+        }
+        // The accepted values still parse on both paths.
+        assert!(parse(&argv("estimate --epsilon 0.5 --delta 1e-9")).is_ok());
+        assert!(parse(&argv("robustness --epsilon 0.5 --delta 1e-9")).is_ok());
     }
 
     #[test]

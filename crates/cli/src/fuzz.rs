@@ -10,9 +10,13 @@
 //! shipped binary), so the invariant is strict: for *any* argument
 //! vector, [`parse`](crate::args::parse) returns a command or a
 //! [`ParseError`](crate::args::ParseError) that renders a non-empty
-//! message — it never panics, whatever the flag soup.
+//! message — it never panics, whatever the flag soup. A command that
+//! carries an `(epsilon, delta)` pair carries one that
+//! [`Accuracy::try_new`] accepts, so running it cannot trip
+//! [`Accuracy::new`]'s assertion.
 
-use crate::args::parse;
+use crate::args::{parse, Command};
+use rfid_sim::Accuracy;
 
 /// Fuzz body: split the bytes into an argument vector two ways (words and
 /// lines — the latter keeps spaces inside one argument, which a shell can
@@ -26,13 +30,30 @@ pub fn cli_args(data: &[u8]) {
         .filter(|l| !l.is_empty())
         .collect();
     for argv in [words, lines] {
-        if let Err(err) = parse(&argv) {
-            let msg = err.to_string();
-            assert!(
-                !msg.is_empty(),
+        match parse(&argv) {
+            Ok(command) => {
+                if let Some((epsilon, delta)) = accuracy_of(&command) {
+                    assert!(
+                        Accuracy::try_new(epsilon, delta).is_ok(),
+                        "{argv:?} parsed with epsilon {epsilon}, delta {delta}"
+                    );
+                }
+            }
+            Err(err) => assert!(
+                !err.to_string().is_empty(),
                 "parse errors must render a usable message"
-            );
+            ),
         }
+    }
+}
+
+/// The `(epsilon, delta)` pair a command will build an `Accuracy` from.
+fn accuracy_of(command: &Command) -> Option<(f64, f64)> {
+    match command {
+        Command::Estimate(o) | Command::Trace(o) => Some((o.epsilon, o.delta)),
+        Command::Compare(o) => Some((o.base.epsilon, o.base.delta)),
+        Command::Robustness(o) => Some((o.epsilon, o.delta)),
+        _ => None,
     }
 }
 
@@ -47,5 +68,7 @@ mod tests {
         cli_args(b"merge --inputs a.sketch,b.sketch --truth abc");
         cli_args(b"--n\n1000\nestimate");
         cli_args(&[0xFF, 0xFE, b' ', 0x00, b'-', b'-']);
+        cli_args(b"estimate --n 1000 --epsilon NaN");
+        cli_args(b"robustness --delta NaN --epsilon inf");
     }
 }

@@ -43,4 +43,13 @@ fn corpus_keeps_every_flag_heavy_subcommand_alive() {
             "no corpus seed exercises `{sub}`"
         );
     }
+    // Values that no ordered comparison rejects: a range check written as
+    // `x <= 0.0 || x >= 1.0` lets NaN through to `Accuracy::new`.
+    for value in ["NaN", "inf", "-0"] {
+        assert!(
+            all.iter().any(|s| s.contains(&format!("--epsilon {value}"))
+                || s.contains(&format!("--delta {value}"))),
+            "no corpus seed passes an accuracy of `{value}`"
+        );
+    }
 }

@@ -17,8 +17,22 @@ impl Bitmap {
     pub fn zeros(len: usize) -> Self {
         Self {
             len,
-            // analysis:allow(hotpath-alloc-free): one backing-buffer allocation per frame at construction; the fill loop reuses it
             words: vec![0u64; len.div_ceil(64)],
+        }
+    }
+
+    /// The bitmap of `flags.len()` bits whose bit `i` is the low bit of
+    /// `flags[i]`: how a frame fill that flags its busy slots one byte each
+    /// turns them into bits, once, when the fill ends.
+    ///
+    /// Each 8-byte lane becomes 8 bits in one multiply, and 64 bytes make
+    /// one word. A partial last word packs zero bytes past `len`, so the
+    /// zero-tail invariant holds.
+    pub fn from_flags(flags: &[u8]) -> Self {
+        Self {
+            len: flags.len(),
+            // analysis:allow(hotpath-alloc-free): one backing-buffer allocation per packed frame, like zeros
+            words: flags.chunks(64).map(pack_word).collect(),
         }
     }
 
@@ -108,9 +122,9 @@ impl Bitmap {
     /// and skip the rest; returns how many indices were in range, repeats
     /// included.
     ///
-    /// The bulk write primitive for a sink that keeps only a frame's
-    /// observed prefix: one call per run of responses, and the bits it sets
-    /// are all below `len`, so the zero-tail invariant holds.
+    /// How a frame sensed from per-slot counts marks the busy slots of its
+    /// observed prefix; the bits it sets are all below `len`, so the
+    /// zero-tail invariant holds.
     #[inline]
     pub fn set_in_range(&mut self, indices: impl IntoIterator<Item = usize>) -> u64 {
         let mut kept = 0u64;
@@ -197,6 +211,33 @@ impl Bitmap {
             })
         })
     }
+}
+
+/// Up to 64 flag bytes packed into one word, flag `i` to bit `i`.
+#[inline]
+fn pack_word(flags: &[u8]) -> u64 {
+    let (lanes, tail) = flags.as_chunks::<8>();
+    let mut word = lanes
+        .iter()
+        .rev()
+        .fold(0u64, |word, &lane| word << 8 | gather_flags(lane));
+    if !tail.is_empty() {
+        let mut lane = [0u8; 8];
+        lane.iter_mut()
+            .zip(tail)
+            .for_each(|(byte, &flag)| *byte = flag);
+        // A nonempty tail leaves at most 7 whole lanes before it.
+        word |= gather_flags(lane) << (8 * lanes.len());
+    }
+    word
+}
+
+/// The low bits of eight flag bytes gathered into the low byte, byte `k`'s
+/// to bit `k`: the multiply moves bit `8k` to `56 + k`, and no two partial
+/// products meet there.
+#[inline]
+fn gather_flags(lane: [u8; 8]) -> u64 {
+    (u64::from_le_bytes(lane) & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080) >> 56
 }
 
 #[cfg(test)]
@@ -378,6 +419,46 @@ mod tests {
     #[should_panic(expected = "prefix 11 exceeds len 10")]
     fn prefix_beyond_len_is_rejected() {
         Bitmap::zeros(10).prefix(11);
+    }
+
+    #[test]
+    fn from_flags_equals_per_bit_sets() {
+        let mut draw = rfid_hash::SplitMix64::new(29);
+        for len in [0usize, 1, 7, 8, 63, 64, 65, 1_000, 8_192] {
+            // Dense, sparse, all-zero and all-one patterns.
+            for density in [0u64, 1, 8, 32, 64] {
+                let flags: Vec<u8> = (0..len)
+                    .map(|_| u8::from(draw.next_u64() % 64 < density))
+                    .collect();
+                let mut want = Bitmap::zeros(len);
+                for (i, _) in flags.iter().enumerate().filter(|&(_, &f)| f == 1) {
+                    want.set(i);
+                }
+                let got = Bitmap::from_flags(&flags);
+                let at = format!("len {len}, density {density}/64");
+                // Equality compares every backing word, tail included.
+                assert_eq!(got, want, "{at}");
+                assert_eq!(got.word_count(), len.div_ceil(64), "{at}");
+                let ones = flags.iter().filter(|&&f| f == 1).count();
+                assert_eq!(got.count_ones(), ones, "{at}");
+                assert_eq!(got.count_zeros(), len - ones, "{at}");
+                for cut in [0, len / 3, len.saturating_sub(1), len] {
+                    assert_eq!(got.prefix(cut), want.prefix(cut), "{at}, prefix {cut}");
+                    assert_eq!(
+                        got.count_ones_prefix(cut),
+                        want.count_ones_prefix(cut),
+                        "{at}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn from_flags_reads_only_the_low_bit_of_each_flag() {
+        let got = Bitmap::from_flags(&[0xFF, 0xFE, 2, 3, 1, 0x80, 0, 0x81, 0xFF]);
+        assert_eq!(got.iter_ones().collect::<Vec<_>>(), vec![0, 3, 4, 7, 8]);
+        assert_eq!(got.words(), &[0b1_1001_1001]);
     }
 
     #[test]

@@ -15,18 +15,59 @@ pub struct Accuracy {
     pub delta: f64,
 }
 
+/// Why an `(epsilon, delta)` pair is not an [`Accuracy`]: the named
+/// parameter is NaN or lies outside `(0, 1)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum AccuracyError {
+    /// The rejected `epsilon`.
+    Epsilon(f64),
+    /// The rejected `delta`.
+    Delta(f64),
+}
+
+impl std::fmt::Display for AccuracyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            AccuracyError::Epsilon(epsilon) => {
+                write!(f, "epsilon must lie in (0, 1), got {epsilon}")
+            }
+            AccuracyError::Delta(delta) => write!(f, "delta must lie in (0, 1), got {delta}"),
+        }
+    }
+}
+
+impl std::error::Error for AccuracyError {}
+
 impl Accuracy {
-    /// Construct, validating both parameters lie in `(0, 1)`.
+    /// Construct, validating both parameters lie in `(0, 1)`; NaN lies in
+    /// no interval. Input from outside the program is checked here.
+    ///
+    /// ```
+    /// use rfid_sim::{Accuracy, AccuracyError};
+    /// assert!(Accuracy::try_new(0.05, 0.05).is_ok());
+    /// assert!(matches!(Accuracy::try_new(f64::NAN, 0.05), Err(AccuracyError::Epsilon(_))));
+    /// assert_eq!(Accuracy::try_new(0.05, 1.0), Err(AccuracyError::Delta(1.0)));
+    /// ```
+    pub fn try_new(epsilon: f64, delta: f64) -> Result<Self, AccuracyError> {
+        // Both comparisons are false for NaN.
+        let inside = |x: f64| x > 0.0 && x < 1.0;
+        if !inside(epsilon) {
+            return Err(AccuracyError::Epsilon(epsilon));
+        }
+        if !inside(delta) {
+            return Err(AccuracyError::Delta(delta));
+        }
+        Ok(Self { epsilon, delta })
+    }
+
+    /// [`try_new`](Self::try_new) for parameters the program chose itself:
+    /// panics with the error's message when they are invalid.
     pub fn new(epsilon: f64, delta: f64) -> Self {
-        assert!(
-            epsilon > 0.0 && epsilon < 1.0,
-            "epsilon must lie in (0, 1), got {epsilon}"
-        );
-        assert!(
-            delta > 0.0 && delta < 1.0,
-            "delta must lie in (0, 1), got {delta}"
-        );
-        Self { epsilon, delta }
+        match Self::try_new(epsilon, delta) {
+            Ok(accuracy) => accuracy,
+            // analysis:allow(panic-path): new is the documented asserting constructor; outside input goes through try_new
+            Err(err) => panic!("{err}"),
+        }
     }
 
     /// The paper's default requirement: (0.05, 0.05).

@@ -49,14 +49,15 @@ fn floored_threads(len: usize, threads: usize) -> usize {
 /// * **counts** — per-slot `u32` responder counts over the whole `w`-slot
 ///   frame, needed wherever the multiplicity matters (Aloha
 ///   empty/singleton/collision classification, FNEB's pre-computed counts);
-/// * **busy** — a per-thread busy [`Bitmap`] over the observed prefix
-///   `[0, observe)` plus a running count of the responses landing there.
-///   Bit-slot sensing only distinguishes busy from idle, so this drops the
-///   `4·w`-byte count vector to `observe/8` bytes and turns the merge into
-///   word-level ORs. Responses in slots `>= observe` are never sensed nor
-///   charged, so the sink drops them.
+/// * **busy** — a per-thread busy flag byte per slot of the observed
+///   prefix `[0, observe)` plus a running count of the responses landing
+///   there. Bit-slot sensing only distinguishes busy from idle, so this
+///   drops the `4·w`-byte count vector to `observe` bytes; a response is
+///   one plain byte store, and the fill packs the flags into the frame's
+///   [`Bitmap`] once when it ends. Responses in slots `>= observe` are
+///   never sensed nor charged, so the sink drops them.
 ///
-/// Either way, recording is commutative-associative integer/bitmap
+/// Either way, recording is commutative-associative integer/flag
 /// accumulation, so chunking, thread count and the order in which a
 /// column fill ([`ResponsePlan::fill_column`]) visits its key buckets
 /// never change the result. A plan may therefore skip any tag whose slots all
@@ -73,9 +74,47 @@ enum SinkMode<'a> {
         counts: &'a mut [u32],
     },
     Busy {
-        busy: &'a mut Bitmap,
-        prefix_responses: &'a mut u64,
+        stage: &'a mut BusyStage,
     },
+}
+
+/// A bit-slot frame while it fills: one flag byte per observed slot and
+/// the number of responses that landed in them.
+///
+/// The busy sink records a response with a plain store of 1 into the
+/// slot's byte. A store depends on nothing before it, where setting a bit
+/// in a shared `u64` is a read-modify-write that waits for the previous
+/// response's write to the same word. [`packed`](Self::packed) packs the
+/// flags into the frame's bitmap once, 64 slots per word.
+struct BusyStage {
+    flags: Vec<u8>,
+    prefix_responses: u64,
+}
+
+impl BusyStage {
+    fn new(observe: usize) -> Self {
+        Self {
+            // analysis:allow(hotpath-alloc-free): one flag buffer per frame and worker; the fill loop only stores into it
+            flags: vec![0u8; observe],
+            prefix_responses: 0,
+        }
+    }
+
+    /// Add another worker's partial fill of the same frame.
+    fn or_in(&mut self, other: &Self) {
+        for (a, b) in self.flags.iter_mut().zip(&other.flags) {
+            *a |= b;
+        }
+        self.prefix_responses += other.prefix_responses;
+    }
+
+    /// The finished frame: the flags packed into its busy bitmap.
+    fn packed(&self) -> FrameFill {
+        FrameFill {
+            busy: Bitmap::from_flags(&self.flags),
+            prefix_responses: self.prefix_responses,
+        }
+    }
 }
 
 impl<'a> SlotSink<'a> {
@@ -90,22 +129,19 @@ impl<'a> SlotSink<'a> {
     }
 
     /// A sink for a `w`-slot frame the reader observes up to
-    /// `observe = busy.len()`: it accumulates the busy bitmap of that prefix
-    /// plus the number of responses landing in it (the energy ledger
+    /// `observe = stage.flags.len()`: it flags the busy slots of that
+    /// prefix and counts the responses landing in it (the energy ledger
     /// charges exactly the transmissions the reader lets happen).
-    pub fn busy(w: usize, busy: &'a mut Bitmap, prefix_responses: &'a mut u64) -> Self {
+    fn busy(w: usize, stage: &'a mut BusyStage) -> Self {
+        let observe = stage.flags.len();
         assert!(
-            busy.len() <= w,
-            "cannot observe {} slots of a {w}-slot frame",
-            busy.len()
+            observe <= w,
+            "cannot observe {observe} slots of a {w}-slot frame"
         );
         Self {
             w,
-            observe: busy.len(),
-            mode: SinkMode::Busy {
-                busy,
-                prefix_responses,
-            },
+            observe,
+            mode: SinkMode::Busy { stage },
         }
     }
 
@@ -140,10 +176,17 @@ impl<'a> SlotSink<'a> {
                     }
                 }
             }
-            SinkMode::Busy {
-                busy,
-                prefix_responses,
-            } => **prefix_responses += busy.set_in_range(slots),
+            SinkMode::Busy { stage } => {
+                let flags = stage.flags.as_mut_slice();
+                let mut kept = 0u64;
+                for slot in slots {
+                    if let Some(flag) = flags.get_mut(slot) {
+                        *flag = 1;
+                        kept += 1;
+                    }
+                }
+                stage.prefix_responses += kept;
+            }
         }
     }
 
@@ -183,13 +226,10 @@ impl<'a> SlotSink<'a> {
         match &mut self.mode {
             // analysis:allow(panic-path): slot < w == counts.len() asserted at fn entry
             SinkMode::Counts { counts } => counts[slot] += n,
-            SinkMode::Busy {
-                busy,
-                prefix_responses,
-            } => {
-                if slot < self.observe && n > 0 {
-                    busy.or_word(slot / 64, 1u64 << (slot % 64));
-                    **prefix_responses += u64::from(n);
+            SinkMode::Busy { stage } => {
+                if let Some(flag) = stage.flags.get_mut(slot).filter(|_| n > 0) {
+                    *flag = 1;
+                    stage.prefix_responses += u64::from(n);
                 }
             }
         }
@@ -406,9 +446,9 @@ pub struct FrameFill {
 /// busy/idle truth and the response count over the prefix `[0, observe)`.
 ///
 /// This is the batched replacement for "counts then threshold": bit-slot
-/// sensing only distinguishes busy from idle, so each worker accumulates an
-/// `observe`-bit bitmap (word-level ORs) instead of a `w`-entry `u32` vector,
-/// and per-thread partials merge via [`Bitmap::or_assign`]. Bitwise
+/// sensing only distinguishes busy from idle, so each worker accumulates
+/// `observe` busy flags instead of a `w`-entry `u32` vector, per-thread
+/// partials merge by OR, and the merged flags pack into the bitmap. Bitwise
 /// identical to deriving the same quantities from
 /// [`response_counts_reference`] at any thread count.
 pub fn response_fill<P: ResponsePlan>(
@@ -445,22 +485,14 @@ pub fn response_fill_with_threads<P: ResponsePlan>(
     assert!(w > 0, "frame must have at least one slot");
     assert!(observe <= w, "cannot observe {observe} slots of a {w}-slot frame");
     let threads = floored_threads(tags.len(), threads);
-    let (busy, prefix_responses) = par_fold_chunks_with_threads(
+    par_fold_chunks_with_threads(
         tags,
         threads,
-        || (Bitmap::zeros(observe), 0u64),
-        |(busy, prefix), chunk| {
-            plan.fill_chunk(chunk, &mut SlotSink::busy(w, busy, prefix));
-        },
-        |(busy, prefix), (other_busy, other_prefix)| {
-            busy.or_assign(&other_busy);
-            *prefix += other_prefix;
-        },
-    );
-    FrameFill {
-        busy,
-        prefix_responses,
-    }
+        || BusyStage::new(observe),
+        |stage, chunk| plan.fill_chunk(chunk, &mut SlotSink::busy(w, stage)),
+        |stage, other| stage.or_in(&other),
+    )
+    .packed()
 }
 
 /// Fill several bit-slot frames in one pass over `tags`: frame `i` runs
@@ -491,37 +523,30 @@ pub fn response_fills_with_threads<P: ResponsePlan>(
         return Vec::new();
     }
     let threads = floored_threads(tags.len(), threads);
-    let partials = par_fold_chunks_with_threads(
+    let stages = par_fold_chunks_with_threads(
         tags,
         threads,
         || {
             frames
                 .iter()
-                .map(|&(_, observe)| (Bitmap::zeros(observe), 0u64))
+                .map(|&(_, observe)| BusyStage::new(observe))
                 .collect::<Vec<_>>()
         },
         |acc, chunk| {
             let mut sinks: Vec<SlotSink<'_>> = acc
                 .iter_mut()
                 .zip(frames)
-                .map(|((busy, prefix), &(w, _))| SlotSink::busy(w, busy, prefix))
+                .map(|(stage, &(w, _))| SlotSink::busy(w, stage))
                 .collect();
             P::fill_frames(plans, chunk, &mut sinks);
         },
         |acc, other| {
-            for ((busy, prefix), (other_busy, other_prefix)) in acc.iter_mut().zip(other) {
-                busy.or_assign(&other_busy);
-                *prefix += other_prefix;
+            for (stage, other) in acc.iter_mut().zip(&other) {
+                stage.or_in(other);
             }
         },
     );
-    partials
-        .into_iter()
-        .map(|(busy, prefix_responses)| FrameFill {
-            busy,
-            prefix_responses,
-        })
-        .collect()
+    stages.iter().map(BusyStage::packed).collect()
 }
 
 /// Fill a `w`-slot bit-slot frame the reader stops after `observe` slots
@@ -550,14 +575,9 @@ pub fn response_fill_column<P: ResponsePlan>(
         column.width()
     );
     assert!(observe <= w, "cannot observe {observe} slots of a {w}-slot frame");
-    let mut busy = Bitmap::zeros(observe);
-    let mut prefix_responses = 0u64;
-    let mut sink = SlotSink::busy(w, &mut busy, &mut prefix_responses);
-    plan.fill_column(column, &mut sink);
-    FrameFill {
-        busy,
-        prefix_responses,
-    }
+    let mut stage = BusyStage::new(observe);
+    plan.fill_column(column, &mut SlotSink::busy(w, &mut stage));
+    stage.packed()
 }
 
 /// Dispatch-aware [`response_fill_with_min_chunk`]: run the plan's batched
@@ -939,14 +959,14 @@ mod tests {
         assert_eq!(tallied, single);
         // Busy sink observing 2 of 4 slots: only a nonzero tally inside
         // the prefix sets a bit and is charged.
-        let mut busy = Bitmap::zeros(2);
-        let mut prefix = 0u64;
-        let mut sink = SlotSink::busy(4, &mut busy, &mut prefix);
+        let mut stage = BusyStage::new(2);
+        let mut sink = SlotSink::busy(4, &mut stage);
         sink.record_n(0, 0);
         sink.record_n(1, 5);
         sink.record_n(3, 7);
-        assert!(!busy.get(0) && busy.get(1));
-        assert_eq!(prefix, 5);
+        let fill = stage.packed();
+        assert!(!fill.busy.get(0) && fill.busy.get(1));
+        assert_eq!(fill.prefix_responses, 5);
     }
 
     #[test]
@@ -978,16 +998,14 @@ mod tests {
                     if observe > w {
                         continue;
                     }
-                    let (mut bulk, mut bulk_prefix) = (Bitmap::zeros(observe), 0u64);
-                    SlotSink::busy(w, &mut bulk, &mut bulk_prefix)
-                        .record_column_run(&rns, xor, mask);
-                    let (mut single, mut single_prefix) = (Bitmap::zeros(observe), 0u64);
-                    let mut sink = SlotSink::busy(w, &mut single, &mut single_prefix);
+                    let mut bulk = BusyStage::new(observe);
+                    SlotSink::busy(w, &mut bulk).record_column_run(&rns, xor, mask);
+                    let mut single = BusyStage::new(observe);
+                    let mut sink = SlotSink::busy(w, &mut single);
                     slots().for_each(|slot| sink.record(slot));
                     let at = format!("busy, w {w}, observe {observe}, xor {xor:#x}");
                     // Bitmap equality compares every word, tail included.
-                    assert_eq!(bulk, single, "{at}");
-                    assert_eq!(bulk_prefix, single_prefix, "{at}");
+                    assert_eq!(bulk.packed(), single.packed(), "{at}");
                 }
             }
         }
@@ -996,8 +1014,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "slot mask 4 >= w 4")]
     fn record_column_run_rejects_a_mask_past_the_frame() {
-        let (mut busy, mut prefix) = (Bitmap::zeros(4), 0u64);
-        SlotSink::busy(4, &mut busy, &mut prefix).record_column_run(&[1, 2], 0, 4);
+        SlotSink::busy(4, &mut BusyStage::new(4)).record_column_run(&[1, 2], 0, 4);
     }
 
     #[test]

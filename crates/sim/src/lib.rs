@@ -59,7 +59,7 @@ pub use dispatch::FillDispatch;
 pub use fault::{FaultPlan, FaultSpec, Quality, ReaderDropout};
 pub use multireader::{DeploymentError, MultiReaderDeployment};
 pub use estimator::{
-    Accuracy, CardinalityEstimator, EstimationReport, PhaseReport,
+    Accuracy, AccuracyError, CardinalityEstimator, EstimationReport, PhaseReport,
 };
 pub use frame::{BitFrame, FrameFill, ResponsePlan, ScalarRef, SlotSink};
 pub use ledger::{AirTime, AirTimeLedger};

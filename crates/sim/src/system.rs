@@ -396,7 +396,8 @@ impl RfidSystem {
         assert!(observe >= 1 && observe <= w, "observe must lie in [1, w]");
         let frame = self.begin_frame(observe);
         // Bit-slot sensing only needs busy/idle truth, so the fill kernel
-        // accumulates a bitmap (word-level ORs) instead of per-slot counts.
+        // flags busy slots and packs them into a bitmap instead of keeping
+        // per-slot counts.
         let fill = self.bitslot_truth(w, observe, plan, frame);
         self.collect_bitslot_frame(fill, frame, true)
     }

@@ -7,6 +7,7 @@
 //! CDF/PDF/quantile trio used by the evaluation harness.
 
 use crate::special::{erfc, erfinv};
+use std::cell::Cell;
 
 /// Cumulative distribution function of the standard normal distribution.
 ///
@@ -44,6 +45,11 @@ pub fn normal_quantile(p: f64) -> f64 {
 ///
 /// For the paper's default `delta = 0.05` this is the familiar 1.95996.
 ///
+/// Estimators call this once per estimate with the same `delta`, and the
+/// bisection inside [`erfinv`] costs a few microseconds, so each thread
+/// keeps the last `(delta, d)` pair it computed. A hit returns the bits a
+/// miss would compute.
+///
 /// ```
 /// use rfid_stats::d_for_delta;
 /// assert!((d_for_delta(0.05) - 1.959_963_984_540_054).abs() < 1e-9);
@@ -53,6 +59,27 @@ pub fn d_for_delta(delta: f64) -> f64 {
         (0.0..1.0).contains(&delta) && delta > 0.0,
         "delta must lie in (0, 1), got {delta}"
     );
+    let key = delta.to_bits();
+    LAST_D
+        .try_with(|last| {
+            let (bits, d) = last.get();
+            if bits == key {
+                return d;
+            }
+            let d = d_uncached(delta);
+            last.set((key, d));
+            d
+        })
+        .unwrap_or_else(|_| d_uncached(delta))
+}
+
+thread_local! {
+    /// The last `(delta.to_bits(), d)` this thread computed. The initial
+    /// key is the bits of a NaN, which no accepted `delta` has.
+    static LAST_D: Cell<(u64, f64)> = const { Cell::new((u64::MAX, f64::NAN)) };
+}
+
+fn d_uncached(delta: f64) -> f64 {
     std::f64::consts::SQRT_2 * erfinv(1.0 - delta)
 }
 
@@ -124,6 +151,28 @@ mod tests {
         assert!((d_for_delta(0.05) - 1.959_963_984_540_054).abs() < 1e-9);
         assert!((d_for_delta(0.10) - 1.644_853_626_951_472_2).abs() < 1e-9);
         assert!((d_for_delta(0.30) - 1.036_433_389_493_789_8).abs() < 1e-9);
+    }
+
+    /// Every call, hit or miss, returns the uncached bits, on a thread
+    /// whose cache starts cold and on one that has seen other deltas.
+    fn assert_d_cache_exact() {
+        for delta in [0.05, 0.1, 0.05, 0.3, 1e-9, 0.999, 0.05, 0.05] {
+            let want = std::f64::consts::SQRT_2 * erfinv(1.0 - delta);
+            assert_eq!(
+                d_for_delta(delta).to_bits(),
+                want.to_bits(),
+                "cached d differs at delta = {delta}"
+            );
+        }
+    }
+
+    #[test]
+    fn d_cache_equals_uncached_d() {
+        assert_d_cache_exact();
+        assert_d_cache_exact();
+        std::thread::spawn(assert_d_cache_exact)
+            .join()
+            .expect("a fresh thread computes the same d");
     }
 
     #[test]
