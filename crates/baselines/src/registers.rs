@@ -21,6 +21,15 @@
 //! the register-wise max of their sketches is the union sketch. That is
 //! the property [`rfid_bfce::Snapshot::merge`] relies on.
 //!
+//! The reader decodes the sensed frame in one pass
+//! ([`collect_register_sketch`]): one walk over the busy bitmap's words
+//! emits each register's top busy rank in ascending register order, and
+//! the sketch is built from those pairs at once, in its canonical tier
+//! with its zero count and harmonic sum — the only inputs LogLog-β and
+//! HLL++ read. The result is bit-identical to observing every busy slot
+//! one at a time; the air protocol, the ledger and the channel's noise
+//! draws are untouched by how the host decodes.
+//!
 //! Air cost: 32 reader bits + `m × levels` bit-slots, constant in the
 //! cardinality (like BFCE, unlike identification). With the default
 //! `levels = 32` rank cells the clamp at rank 32 only binds once the load
@@ -29,24 +38,54 @@
 use rand::RngCore;
 use rfid_bfce::{RegisterFlavor, RegisterSketch};
 use rfid_hash::register_hash;
-use rfid_sim::{Accuracy, EstimationReport, PhaseReport, RfidSystem, Tag};
+use rfid_sim::{
+    Accuracy, Bitmap, EstimationReport, PhaseReport, ResponsePlan, RfidSystem, SlotSink, Tag,
+};
 use rfid_stats::d_for_delta;
 
 /// Response plan for one register-collection frame: each tag answers the
-/// single `(register, rank)` cell its hash selects.
-pub fn register_frame_plan(
+/// single cell `register · levels + rank − 1` its hash selects.
+///
+/// The batched kernel records each tag's cell straight into the sink.
+#[derive(Debug, Clone, Copy)]
+pub struct RegisterFramePlan {
     seed: u32,
     precision: u8,
     levels: u8,
-) -> impl Fn(&Tag, &mut Vec<usize>) + Sync {
-    move |tag, out| {
-        let (register, rank) = register_hash(tag.id, seed, precision, levels);
-        out.push(register as usize * levels as usize + (rank as usize - 1));
+}
+
+impl RegisterFramePlan {
+    /// The frame of `2^precision × levels` cells keyed by `seed`.
+    pub fn new(seed: u32, precision: u8, levels: u8) -> Self {
+        Self {
+            seed,
+            precision,
+            levels,
+        }
+    }
+
+    /// The cell `tag` answers.
+    #[inline]
+    fn cell(&self, tag: &Tag) -> usize {
+        let (register, rank) = register_hash(tag.id, self.seed, self.precision, self.levels);
+        register as usize * usize::from(self.levels) + usize::from(rank - 1)
     }
 }
 
-/// Run one register-collection frame with an explicit `seed` and fold the
-/// observed cells into a [`RegisterSketch`].
+impl ResponsePlan for RegisterFramePlan {
+    fn responses(&self, tag: &Tag, out: &mut Vec<usize>) {
+        out.push(self.cell(tag));
+    }
+
+    fn fill_chunk(&self, tags: &[Tag], sink: &mut SlotSink<'_>) {
+        for tag in tags {
+            sink.record(self.cell(tag));
+        }
+    }
+}
+
+/// Run one register-collection frame with an explicit `seed` and decode
+/// the observed cells into a [`RegisterSketch`].
 ///
 /// This is the snapshot-production path for multi-reader deployments:
 /// every reader calls this with the *same* broadcast seed, serializes the
@@ -60,17 +99,48 @@ pub fn collect_register_sketch(
     system: &mut RfidSystem,
     seed: u32,
 ) -> RegisterSketch {
-    let mut sketch = RegisterSketch::new(flavor, precision, levels, seed);
+    let empty = RegisterSketch::new(flavor, precision, levels, seed);
     system.broadcast(32);
-    let slots = sketch.registers().m() * levels as usize;
-    let plan = register_frame_plan(seed, precision, levels);
-    let frame = system.run_bitslot_frame(slots, &plan);
-    for slot in frame.busy_bitmap().iter_ones() {
-        let register = (slot / levels as usize) as u32;
-        let rank = (slot % levels as usize) as u8 + 1;
-        sketch.observe_slot(register, rank);
+    let slots = empty.registers().m() * usize::from(levels);
+    let frame = system.run_bitslot_frame(slots, &RegisterFramePlan::new(seed, precision, levels));
+    let pairs = top_busy_ranks(frame.busy_bitmap(), levels);
+    RegisterSketch::from_sorted_pairs(flavor, precision, levels, seed, pairs)
+}
+
+/// `(register, top busy rank)` of every register with a busy cell in a
+/// sensed register frame, in ascending register order: the register file
+/// the frame holds.
+///
+/// One walk over the bitmap's words. A busy slot's register is
+/// `slot · ⌈2^40 / levels⌉ >> 40`, which equals `slot / levels` for every
+/// slot below `2^40 / levels`; a frame has at most `2^16 · 61 < 2^22`
+/// slots. Slots come in ascending order, so the walk moves to the next
+/// pair when the register changes and otherwise overwrites the pair: each
+/// register keeps its last busy rank, which is its largest.
+fn top_busy_ranks(busy: &Bitmap, levels: u8) -> Vec<(u16, u8)> {
+    let levels = u64::from(levels);
+    let recip = (1u64 << 40).div_ceil(levels);
+    let mut pairs = vec![(0u16, 0u8); busy.count_ones()];
+    // `k` pairs are open; `last` is the register of the newest one.
+    let (mut k, mut last) = (0usize, u64::MAX);
+    for (i, &word) in busy.words().iter().enumerate() {
+        let base = i as u64 * 64;
+        let mut bits = word;
+        while bits != 0 {
+            let slot = base + u64::from(bits.trailing_zeros());
+            bits &= bits - 1;
+            let register = (slot * recip) >> 40;
+            k += usize::from(register != last);
+            last = register;
+            // The first busy slot opens pair 0, and there are as many
+            // pairs as busy slots, so `k − 1` always indexes one.
+            if let Some(pair) = pairs.get_mut(k.wrapping_sub(1)) {
+                *pair = (register as u16, (slot - register * levels + 1) as u8);
+            }
+        }
     }
-    sketch
+    pairs.truncate(k);
+    pairs
 }
 
 /// Shared [`rfid_sim::CardinalityEstimator`] driver for both flavors:

@@ -164,6 +164,48 @@ fn zoe_slot_plan_scalar_and_batched_fill_identically() {
     );
 }
 
+/// The register-collection plan's scalar `responses()` and its
+/// sink-direct chunk fill are the same kernel: for arbitrary populations,
+/// seeds, precisions, rank levels, observed prefixes and worker counts,
+/// the busy frame and observed-response totals agree bit for bit, and
+/// every tag answers exactly one cell.
+#[test]
+fn register_frame_plan_scalar_and_batched_fill_identically() {
+    use rfid_baselines::registers::RegisterFramePlan;
+    use rfid_sim::frame::{response_counts_reference, response_fill_with_threads};
+    use rfid_sim::{ScalarRef, Tag};
+
+    check(
+        "register_frame_plan_scalar_and_batched_fill_identically",
+        CASES,
+        |g| {
+            let tags = g.vec(0..1_200, |g| Tag {
+                id: g.u64(),
+                rn: g.u32(),
+            });
+            let (seed, precision, levels) = (g.u32(), g.range(4u8..=12), g.range(1u8..=61));
+            let w = (1usize << precision) * usize::from(levels);
+            let observe = if g.bool() { w } else { g.range(1..=w) };
+            let threads = g.pick(&[1usize, 2, 4]);
+            let plan = RegisterFramePlan::new(seed, precision, levels);
+
+            let counts = response_counts_reference(&tags, w, &plan, usize::MAX);
+            let scalar = response_fill_with_threads(&tags, w, observe, &ScalarRef(&plan), 1);
+            let batched = response_fill_with_threads(&tags, w, observe, &plan, threads);
+
+            assert_eq!(scalar.busy.words(), batched.busy.words());
+            assert_eq!(scalar.prefix_responses, batched.prefix_responses);
+            for (slot, &c) in counts.iter().take(observe).enumerate() {
+                assert_eq!(batched.busy.get(slot), c > 0, "slot {slot}");
+            }
+            let answered: u64 = counts.iter().map(|&c| u64::from(c)).sum();
+            assert_eq!(answered, tags.len() as u64);
+            let observed: u64 = counts.iter().take(observe).map(|&c| u64::from(c)).sum();
+            assert_eq!(batched.prefix_responses, observed);
+        },
+    );
+}
+
 /// The geometric-skip walk visits each slot independently with
 /// probability `p`: at `p = 1` every tag answers every slot, and the
 /// visit sequence is strictly increasing and in range for any `p`.

@@ -784,6 +784,38 @@ impl RegisterSketch {
         self.registers.observe(register, rank.min(self.levels));
     }
 
+    /// The sketch whose nonzero registers are exactly `pairs`, built in
+    /// one pass in the canonical tier for their count: equal, bytes and
+    /// stats included, to an empty sketch that observed every pair.
+    ///
+    /// This is how a whole sensed register frame is decoded at once.
+    /// Panics unless the registers are strictly ascending and below
+    /// `2^precision` and every rank lies in `[1, levels]`, or on the
+    /// parameter errors [`new`](Self::new) rejects.
+    pub fn from_sorted_pairs(
+        flavor: RegisterFlavor,
+        precision: u8,
+        levels: u8,
+        seed: u32,
+        pairs: Vec<(u16, u8)>,
+    ) -> Self {
+        let empty = Self::new(flavor, precision, levels, seed);
+        let m = empty.registers.m();
+        assert!(
+            pairs.iter().all(|&(_, q)| (1..=levels).contains(&q)),
+            "a rank lies outside [1, {levels}]"
+        );
+        assert!(
+            pairs.windows(2).all(|w| w[0].0 < w[1].0)
+                && pairs.last().is_none_or(|&(r, _)| usize::from(r) < m),
+            "registers are not strictly ascending below {m}"
+        );
+        Self {
+            registers: Registers::from_sorted(precision, pairs),
+            ..empty
+        }
+    }
+
     /// Check merge compatibility.
     pub fn compatible(&self, other: &RegisterSketch) -> Result<(), &'static str> {
         if self.flavor != other.flavor {

@@ -25,14 +25,20 @@ impl Bitmap {
     /// `flags[i]`: how a frame fill that flags its busy slots one byte each
     /// turns them into bits, once, when the fill ends.
     ///
-    /// Each 8-byte lane becomes 8 bits in one multiply, and 64 bytes make
-    /// one word. A partial last word packs zero bytes past `len`, so the
-    /// zero-tail invariant holds.
+    /// 64 bytes make one word (`pack_word`). A partial last word packs
+    /// zero bytes past `len`, so the zero-tail invariant holds.
     pub fn from_flags(flags: &[u8]) -> Self {
+        let (blocks, tail) = flags.as_chunks::<64>();
+        let mut words = Vec::with_capacity(flags.len().div_ceil(64));
+        words.extend(blocks.iter().map(pack_word));
+        if !tail.is_empty() {
+            let mut block = [0u8; 64];
+            block.iter_mut().zip(tail).for_each(|(byte, &flag)| *byte = flag);
+            words.push(pack_word(&block));
+        }
         Self {
             len: flags.len(),
-            // analysis:allow(hotpath-alloc-free): one backing-buffer allocation per packed frame, like zeros
-            words: flags.chunks(64).map(pack_word).collect(),
+            words,
         }
     }
 
@@ -213,31 +219,32 @@ impl Bitmap {
     }
 }
 
-/// Up to 64 flag bytes packed into one word, flag `i` to bit `i`.
+/// 64 flag bytes packed into one word, flag `i` to bit `i`.
+///
+/// Lane `k` (bytes `8k..8k + 8`) is masked to its low bits and shifted up
+/// by `k`, and the eight lanes are OR-ed together: bit `k` of byte `j`
+/// then holds flag `8k + j`. One 8×8 bit transpose moves it to bit
+/// `8k + j` of the word.
 #[inline]
-fn pack_word(flags: &[u8]) -> u64 {
-    let (lanes, tail) = flags.as_chunks::<8>();
-    let mut word = lanes
-        .iter()
-        .rev()
-        .fold(0u64, |word, &lane| word << 8 | gather_flags(lane));
-    if !tail.is_empty() {
-        let mut lane = [0u8; 8];
-        lane.iter_mut()
-            .zip(tail)
-            .for_each(|(byte, &flag)| *byte = flag);
-        // A nonempty tail leaves at most 7 whole lanes before it.
-        word |= gather_flags(lane) << (8 * lanes.len());
-    }
-    word
+fn pack_word(block: &[u8; 64]) -> u64 {
+    let (lanes, _) = block.as_chunks::<8>();
+    let gathered = lanes.iter().enumerate().fold(0u64, |acc, (k, &lane)| {
+        acc | (u64::from_le_bytes(lane) & 0x0101_0101_0101_0101) << k
+    });
+    transpose8(gathered)
 }
 
-/// The low bits of eight flag bytes gathered into the low byte, byte `k`'s
-/// to bit `k`: the multiply moves bit `8k` to `56 + k`, and no two partial
-/// products meet there.
+/// Transpose the 8×8 bit matrix whose row `r` is byte `r` and column `c`
+/// is bit `c` of it: bit `8r + c` moves to `8c + r`. Three rounds swap
+/// the off-diagonal 1×1, 2×2 and 4×4 blocks (Hacker's Delight, 7–3).
 #[inline]
-fn gather_flags(lane: [u8; 8]) -> u64 {
-    (u64::from_le_bytes(lane) & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080) >> 56
+fn transpose8(mut x: u64) -> u64 {
+    let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+    x ^= t ^ (t << 7);
+    let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+    x ^= t ^ (t << 14);
+    let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+    x ^ t ^ (t << 28)
 }
 
 #[cfg(test)]

@@ -57,6 +57,54 @@ fn bitmap_matches_vec_bool_model() {
     });
 }
 
+/// The bitmap of `flags` set one bit at a time: bit `i` is the low bit
+/// of `flags[i]`.
+fn from_flags_reference(flags: &[u8]) -> Bitmap {
+    let mut bitmap = Bitmap::zeros(flags.len());
+    for (i, &flag) in flags.iter().enumerate() {
+        if flag & 1 == 1 {
+            bitmap.set(i);
+        }
+    }
+    bitmap
+}
+
+/// Flag bytes whose low bit is set with probability `density / 64` and
+/// whose upper seven bits are random: the packing must read the low bit
+/// only.
+fn flag_bytes(g: &mut Gen, len: usize, density: u64) -> Vec<u8> {
+    (0..len)
+        .map(|_| {
+            let draw = g.u64();
+            (draw as u8 & !1) | u8::from(draw >> 58 < density)
+        })
+        .collect()
+}
+
+/// `Bitmap::from_flags` packs 64 flags per word exactly as setting each
+/// flagged bit does, tail word included: at every length up to 1 000 and
+/// at random lengths, densities and upper bits.
+#[test]
+fn from_flags_packs_like_per_bit_sets() {
+    let mut g = Gen::new(0xF1A6_5EED);
+    for len in 0..=1_000usize {
+        let density = g.range(0u64..=64);
+        let flags = flag_bytes(&mut g, len, density);
+        assert_eq!(
+            Bitmap::from_flags(&flags),
+            from_flags_reference(&flags),
+            "len {len}"
+        );
+    }
+    check("from_flags_packs_like_per_bit_sets", CASES, |g| {
+        let (len, density) = (g.range(0usize..20_000), g.range(0u64..=64));
+        let flags = flag_bytes(g, len, density);
+        let packed = Bitmap::from_flags(&flags);
+        assert_eq!(packed, from_flags_reference(&flags), "len {len}");
+        assert_eq!(packed.word_count(), len.div_ceil(64));
+    });
+}
+
 #[test]
 fn bitmap_or_is_union() {
     check("bitmap_or_is_union", CASES, |g| {

@@ -1,5 +1,6 @@
 //! Kernel checksums: the fixed-seed output of every frame-fill, ZOE-slot,
-//! LOF geometric-frame, tag-hash and PRNG kernel, pinned to committed constants. Frame fills
+//! LOF geometric-frame, register-frame, tag-hash and PRNG kernel, pinned
+//! to committed constants. Frame fills
 //! are pinned fully observed and observed up to a prefix (the probe's 32
 //! and the rough phase's 1024 slots).
 //!
@@ -20,6 +21,7 @@
 //! alone, so the pinned constants move only when a kernel's output does.
 
 use rfid_bfce_repro::baselines::common::geometric_frame_plan;
+use rfid_bfce_repro::baselines::registers::RegisterFramePlan;
 use rfid_bfce_repro::baselines::ZoeSlotPlan;
 use rfid_bfce_repro::bfce::{BfceConfig, BloomPlan};
 use rfid_bfce_repro::hash::{
@@ -34,7 +36,7 @@ use rfid_bfce_repro::sim::{Bitmap, FillDispatch, FrameFill, PerfectChannel, RnCo
 
 /// The pinned cases: name and checksum, grouped by kernel family.
 #[rustfmt::skip]
-const PINNED: [(&str, u64); 27] = [
+const PINNED: [(&str, u64); 31] = [
     ("frame_fill/scalar/n=1000/threads=1", 4622655124223342335),
     ("frame_fill/batched/n=1000/threads=1", 4622655124223342335),
     ("frame_fill/scalar/n=10000/threads=1", 10472075251486238470),
@@ -56,6 +58,10 @@ const PINNED: [(&str, u64); 27] = [
     ("geometric_frame/batched/n=10000", 9013288851175311269),
     ("geometric_frame/scalar/n=100000", 12878476326186413209),
     ("geometric_frame/batched/n=100000", 12878476326186413209),
+    ("register_frame/scalar/n=10000", 7750485522072566821),
+    ("register_frame/batched/n=10000", 7750485522072566821),
+    ("register_frame/scalar/n=100000", 13823487020488876313),
+    ("register_frame/batched/n=100000", 13823487020488876313),
     ("tag_hash/scalar/hasher=xor-bitget/n=100000", 11986599074644933648),
     ("tag_hash/batched/hasher=xor-bitget/n=100000", 11986599074644933648),
     ("tag_hash/scalar/hasher=mix64/n=100000", 9461640502449451487),
@@ -355,6 +361,32 @@ fn geometric_frame_checksums() {
         );
     }
     assert_pinned("geometric_frame/", &computed);
+}
+
+/// One register-collection frame of `2^14` registers × 16 rank cells (the
+/// multi-reader ring's shape): the busy fill through the scalar
+/// scratch-buffer path and through the plan's sink-direct kernel at one
+/// and two workers.
+#[test]
+fn register_frame_checksums() {
+    let (precision, levels) = (14u8, 16u8);
+    let w = (1usize << precision) * usize::from(levels);
+    let checksum = |fill: FrameFill| fill_checksum(&fill.busy, fill.prefix_responses);
+    let mut computed = Vec::new();
+    for n in [10_000usize, 100_000] {
+        let tags = synth_tags(n);
+        let plan = RegisterFramePlan::new(0x2E6_5EED, precision, levels);
+        let batched = checksum(response_fill_with_threads(&tags, w, w, &plan, 1));
+        assert_eq!(
+            checksum(response_fill_with_threads(&tags, w, w, &plan, 2)),
+            batched,
+            "register_frame/batched/n={n}: threads=2 differs from threads=1"
+        );
+        let scalar = response_fill_with_threads(&tags, w, w, &ScalarRef(&plan), 1);
+        computed.push((format!("register_frame/scalar/n={n}"), checksum(scalar)));
+        computed.push((format!("register_frame/batched/n={n}"), batched));
+    }
+    assert_pinned("register_frame/", &computed);
 }
 
 /// Slot hashing of 100k tags under one seed, per tag and through
