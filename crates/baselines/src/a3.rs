@@ -12,12 +12,11 @@
 //! amount of information even when its load is off-optimal (early rounds,
 //! when the running estimate is still rough).
 
-use crate::common::{clamped_rho, uniform_frame_plan, ZOE_OPTIMAL_LAMBDA};
-use crate::lof::Lof;
-use rand::RngCore;
-use rfid_sim::{
-    Accuracy, CardinalityEstimator, EstimationReport, PhaseReport, RfidSystem,
+use crate::common::{
+    capped, clamped_rho, frame_series, uniform_frame_plan, Series, ZOE_OPTIMAL_LAMBDA,
 };
+use rand::RngCore;
+use rfid_sim::{Accuracy, CardinalityEstimator, EstimationReport, RfidSystem};
 use rfid_stats::d_for_delta;
 
 /// Relative variance of one balanced-frame estimate at realized load
@@ -28,23 +27,14 @@ pub fn round_relative_variance(lambda: f64, f: usize) -> f64 {
     (lambda.exp() - 1.0) / (lambda * lambda * f as f64)
 }
 
-/// The A³ estimator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct A3 {
-    /// Frame size per round (bit-slots).
-    pub frame: usize,
-    /// Hard cap on rounds.
-    pub max_rounds: u64,
-}
+/// Frame size per round (bit-slots).
+const FRAME: usize = 512;
+/// Hard cap on rounds.
+const MAX_ROUNDS: u64 = 512;
 
-impl Default for A3 {
-    fn default() -> Self {
-        Self {
-            frame: 512,
-            max_rounds: 512,
-        }
-    }
-}
+/// The A³ estimator.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct A3;
 
 impl CardinalityEstimator for A3 {
     fn name(&self) -> &'static str {
@@ -57,89 +47,44 @@ impl CardinalityEstimator for A3 {
         accuracy: Accuracy,
         rng: &mut dyn RngCore,
     ) -> EstimationReport {
-        let mut warnings = Vec::new();
-        let start = system.air_time();
-        let f = self.frame;
-
-        // Bootstrap the running estimate with one geometric frame.
-        let mut n_hat = Lof {
-            rounds: 1,
-            frame: 32,
-        }
-        .rough_estimate(system, rng)
-        .max(1.0);
-        let after_boot = system.air_time();
-
-        // Accumulate inverse-variance-weighted estimates until the
-        // combined relative variance clears the (epsilon, delta) target.
-        let d = d_for_delta(accuracy.delta);
-        let target_var = (accuracy.epsilon / d).powi(2);
-        let mut weight_sum = 0.0f64;
-        let mut weighted_estimate = 0.0f64;
-        let mut rounds = 0u64;
-        while rounds < self.max_rounds {
-            rounds += 1;
-            let p = (ZOE_OPTIMAL_LAMBDA * f as f64 / n_hat).min(1.0);
-            let seed = rng.next_u32();
-            system.turnaround();
-            system.broadcast(64);
-            let frame = system.run_bitslot_frame(f, &uniform_frame_plan(seed, f, p));
-            let idle = frame.idle_count();
-            if idle == 0 || idle == f {
-                warnings.push("degenerate A3 frame; rho clamped".into());
-            }
-            let rho = clamped_rho(idle, f);
-            let round_estimate = -(f as f64) * rho.ln() / p;
-            let lambda_realized = (-rho.ln()).max(1e-6);
-            let variance = round_relative_variance(lambda_realized, f);
-            let weight = 1.0 / variance;
-            weighted_estimate += weight * round_estimate;
-            weight_sum += weight;
-            n_hat = (weighted_estimate / weight_sum).max(1.0);
-            // Combined relative variance of the weighted mean.
-            if 1.0 / weight_sum <= target_var {
-                break;
-            }
-        }
-        if rounds == self.max_rounds {
-            warnings.push(format!("round budget capped at {}", self.max_rounds));
-        }
-
-        let end = system.air_time();
-        EstimationReport {
-            n_hat,
-            air: end.since(&start),
-            phases: vec![
-                PhaseReport {
-                    name: "bootstrap (LOF)".into(),
-                    air: after_boot.since(&start),
-                },
-                PhaseReport {
-                    name: format!("adaptive frames x{rounds}"),
-                    air: end.since(&after_boot),
-                },
-            ],
-            rounds: 1 + rounds,
-            warnings,
-        }
+        // The LOF bootstrap seeds the running estimate; inverse-variance-
+        // weighted estimates accumulate until the combined relative variance
+        // clears the (epsilon, delta) target.
+        let body = |series: &mut Series<'_>, n_r: f64, warnings: &mut Vec<String>| {
+            let d = d_for_delta(accuracy.delta);
+            let target_var = (accuracy.epsilon / d).powi(2);
+            let mut n_hat = n_r;
+            let (mut weight_sum, mut weighted_estimate) = (0.0f64, 0.0f64);
+            let rounds = series.run_until(MAX_ROUNDS, |system, seed| {
+                let p = (ZOE_OPTIMAL_LAMBDA * FRAME as f64 / n_hat).min(1.0);
+                let frame = system.run_bitslot_frame(FRAME, &uniform_frame_plan(seed, FRAME, p));
+                let idle = frame.idle_count();
+                if idle == 0 || idle == FRAME {
+                    warnings.push("degenerate A3 frame; rho clamped".into());
+                }
+                let rho = clamped_rho(idle, FRAME);
+                let round_estimate = -(FRAME as f64) * rho.ln() / p;
+                let lambda_realized = (-rho.ln()).max(1e-6);
+                let weight = 1.0 / round_relative_variance(lambda_realized, FRAME);
+                weighted_estimate += weight * round_estimate;
+                weight_sum += weight;
+                n_hat = (weighted_estimate / weight_sum).max(1.0);
+                // Combined relative variance of the weighted mean.
+                1.0 / weight_sum <= target_var
+            });
+            capped(rounds, 1, MAX_ROUNDS, "round budget", warnings);
+            n_hat
+        };
+        frame_series(system, rng, "bootstrap (LOF)", "adaptive frames", 64, body)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use rfid_sim::{Tag, TagPopulation};
 
-    fn system_with(n: usize) -> RfidSystem {
-        let tags = (0..n as u64)
-            .map(|i| Tag {
-                id: i * 41 + 17,
-                rn: i as u32,
-            })
-            .collect();
-        RfidSystem::new(TagPopulation::new(tags))
+    fn run(n: usize, seed: u64, accuracy: Accuracy) -> EstimationReport {
+        crate::common::test_estimate(&A3, n, (41, 17), seed, accuracy)
     }
 
     #[test]
@@ -150,50 +95,22 @@ mod tests {
     }
 
     #[test]
-    fn estimates_meet_the_requirement_usually() {
-        for (seed, truth) in [(1u64, 10_000usize), (2, 100_000), (3, 500_000)] {
-            let mut sys = system_with(truth);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let report =
-                A3::default().estimate(&mut sys, Accuracy::paper_default(), &mut rng);
-            let rel = report.relative_error(truth);
-            assert!(rel < 0.06, "n = {truth}: rel = {rel}");
-        }
-    }
-
-    #[test]
     fn tighter_accuracy_runs_more_rounds() {
-        let mut sys = system_with(50_000);
-        let mut rng = StdRng::seed_from_u64(4);
-        let tight =
-            A3::default().estimate(&mut sys, Accuracy::new(0.03, 0.05), &mut rng);
-        sys.reset_ledger();
-        let loose =
-            A3::default().estimate(&mut sys, Accuracy::new(0.2, 0.2), &mut rng);
-        assert!(tight.rounds > loose.rounds, "{} vs {}", tight.rounds, loose.rounds);
+        let tight = run(50_000, 4, Accuracy::new(0.03, 0.05));
+        let loose = run(50_000, 4, Accuracy::new(0.2, 0.2));
+        assert!(
+            tight.rounds > loose.rounds,
+            "{} vs {}",
+            tight.rounds,
+            loose.rounds
+        );
     }
 
     #[test]
     fn arbitrary_accuracy_really_is_arbitrary() {
         // The defining property: even a very tight epsilon converges.
-        let truth = 200_000usize;
-        let mut sys = system_with(truth);
-        let mut rng = StdRng::seed_from_u64(5);
-        let report =
-            A3::default().estimate(&mut sys, Accuracy::new(0.02, 0.05), &mut rng);
-        assert!(report.relative_error(truth) < 0.025);
+        let report = run(200_000, 5, Accuracy::new(0.02, 0.05));
+        assert!(report.relative_error(200_000) < 0.025);
         assert!(report.warnings.iter().all(|w| !w.contains("capped")));
-    }
-
-    #[test]
-    fn early_rounds_with_bad_estimates_are_downweighted() {
-        // Feed a system whose LOF bootstrap will be off; the final
-        // estimate must still land (weights handle off-optimal loads).
-        let truth = 64_000usize;
-        let mut sys = system_with(truth);
-        let mut rng = StdRng::seed_from_u64(6);
-        let report =
-            A3::default().estimate(&mut sys, Accuracy::paper_default(), &mut rng);
-        assert!(report.relative_error(truth) < 0.05);
     }
 }

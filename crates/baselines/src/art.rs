@@ -8,54 +8,30 @@
 //! Fewer frames reach a given accuracy than the zero estimator needs,
 //! making ART one of the faster pre-bit-slot schemes.
 
-use crate::common::uniform_frame_plan;
-use crate::lof::Lof;
+use crate::common::{capped, frame_series, uniform_frame_plan, Series};
 use rand::RngCore;
-use rfid_sim::{
-    Accuracy, BitFrame, CardinalityEstimator, EstimationReport, PhaseReport,
-    RfidSystem,
-};
+use rfid_sim::{Accuracy, BitFrame, CardinalityEstimator, EstimationReport, RfidSystem};
 use rfid_stats::d_for_delta;
 
 /// Target per-slot load: `lambda = 1` keeps busy runs short but frequent,
 /// near the variance sweet spot of the run statistic.
 const ART_TARGET_LAMBDA: f64 = 1.0;
 
-/// The ART estimator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Art {
-    /// Frame size per round (bit-slots).
-    pub frame: usize,
-    /// Upper bound on rounds.
-    pub max_rounds: u64,
-}
+/// Frame size per round (bit-slots).
+const FRAME: usize = 1024;
+/// Upper bound on rounds.
+const MAX_ROUNDS: u64 = 512;
 
-impl Default for Art {
-    fn default() -> Self {
-        Self {
-            frame: 1024,
-            max_rounds: 512,
-        }
-    }
-}
+/// The ART estimator.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Art;
 
 /// Count the maximal busy runs in a frame and their total length.
 pub fn busy_runs(frame: &BitFrame) -> (usize, usize) {
-    let mut runs = 0usize;
-    let mut total = 0usize;
-    let mut in_run = false;
-    for i in 0..frame.observed() {
-        if frame.is_busy(i) {
-            if !in_run {
-                runs += 1;
-                in_run = true;
-            }
-            total += 1;
-        } else {
-            in_run = false;
-        }
-    }
-    (runs, total)
+    let busy = |i: usize| frame.is_busy(i);
+    let starts = (0..frame.observed()).filter(|&i| busy(i) && (i == 0 || !busy(i - 1)));
+    let total = (0..frame.observed()).filter(|&i| busy(i)).count();
+    (starts.count(), total)
 }
 
 impl CardinalityEstimator for Art {
@@ -69,51 +45,32 @@ impl CardinalityEstimator for Art {
         accuracy: Accuracy,
         rng: &mut dyn RngCore,
     ) -> EstimationReport {
-        let mut warnings = Vec::new();
-        let start = system.air_time();
-        let f = self.frame;
+        let body = |series: &mut Series<'_>, n_r: f64, warnings: &mut Vec<String>| {
+            let p = (ART_TARGET_LAMBDA * FRAME as f64 / n_r).min(1.0);
 
-        let n_r = Lof {
-            rounds: 1,
-            frame: 32,
-        }
-        .rough_estimate(system, rng)
-        .max(1.0);
-        let after_rough = system.air_time();
+            // Sizing: relative error of lambda_hat per run observation is
+            // ~ sqrt(q)/lambda; at lambda = 1, q ~ 0.632, runs per frame
+            // ~ f q (1 - q). Choose rounds so the total run count reaches
+            // q * (d / (eps * lambda))^2.
+            let d = d_for_delta(accuracy.delta);
+            let q = 1.0 - (-ART_TARGET_LAMBDA).exp();
+            let runs_needed = (q * (d / (accuracy.epsilon * ART_TARGET_LAMBDA)).powi(2)).ceil();
+            let runs_per_frame = FRAME as f64 * q * (1.0 - q);
+            let wanted = (runs_needed / runs_per_frame).ceil() as u64;
+            let rounds = capped(wanted, 1, MAX_ROUNDS, "round budget", warnings);
 
-        let p = (ART_TARGET_LAMBDA * f as f64 / n_r).min(1.0);
+            let (mut run_count, mut run_total) = (0, 0);
+            series.run(rounds, |system, seed| {
+                let frame = system.run_bitslot_frame(FRAME, &uniform_frame_plan(seed, FRAME, p));
+                let (runs, total) = busy_runs(&frame);
+                run_count += runs;
+                run_total += total;
+            });
 
-        // Sizing: relative error of lambda_hat per run observation is
-        // ~ sqrt(q)/lambda; at lambda = 1, q ~ 0.632, runs per frame
-        // ~ f q (1 - q). Choose rounds so the total run count reaches
-        // q * (d / (eps * lambda))^2.
-        let d = d_for_delta(accuracy.delta);
-        let q = 1.0 - (-ART_TARGET_LAMBDA).exp();
-        let runs_needed =
-            (q * (d / (accuracy.epsilon * ART_TARGET_LAMBDA)).powi(2)).ceil();
-        let runs_per_frame = (f as f64 * q * (1.0 - q)).max(1.0);
-        let rounds =
-            ((runs_needed / runs_per_frame).ceil() as u64).clamp(1, self.max_rounds);
-        if rounds == self.max_rounds {
-            warnings.push(format!("round budget capped at {}", self.max_rounds));
-        }
-
-        let mut run_count = 0usize;
-        let mut run_total = 0usize;
-        for _ in 0..rounds {
-            let seed = rng.next_u32();
-            system.turnaround();
-            system.broadcast(64);
-            let frame = system.run_bitslot_frame(f, &uniform_frame_plan(seed, f, p));
-            let (runs, total) = busy_runs(&frame);
-            run_count += runs;
-            run_total += total;
-        }
-
-        let n_hat = if run_count == 0 {
-            warnings.push("no busy runs observed; estimating zero".into());
-            0.0
-        } else {
+            if run_count == 0 {
+                warnings.push("no busy runs observed; estimating zero".into());
+                return 0.0;
+            }
             let mean_run = run_total as f64 / run_count as f64;
             // mean_run = 1 means no slot had a neighbour: lambda below
             // resolution; clamp into the invertible region.
@@ -121,45 +78,20 @@ impl CardinalityEstimator for Art {
             if mean_run <= 1.0 + 1e-9 {
                 warnings.push("all runs length 1; load far below target".into());
             }
-            lambda_hat * f as f64 / p
+            lambda_hat * FRAME as f64 / p
         };
-
-        let end = system.air_time();
-        EstimationReport {
-            n_hat,
-            air: end.since(&start),
-            phases: vec![
-                PhaseReport {
-                    name: "rough (LOF)".into(),
-                    air: after_rough.since(&start),
-                },
-                PhaseReport {
-                    name: format!("run frames x{rounds}"),
-                    air: end.since(&after_rough),
-                },
-            ],
-            rounds: 1 + rounds,
-            warnings,
-        }
+        frame_series(system, rng, "rough (LOF)", "run frames", 64, body)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use rfid_hash::SplitMix64;
-    use rfid_sim::{PerfectChannel, Tag, TagPopulation};
+    use rfid_sim::PerfectChannel;
 
-    fn system_with(n: usize) -> RfidSystem {
-        let tags = (0..n as u64)
-            .map(|i| Tag {
-                id: i * 29 + 7,
-                rn: i as u32,
-            })
-            .collect();
-        RfidSystem::new(TagPopulation::new(tags))
+    fn run(n: usize, seed: u64, accuracy: Accuracy) -> EstimationReport {
+        crate::common::test_estimate(&Art, n, (29, 7), seed, accuracy)
     }
 
     #[test]
@@ -183,28 +115,13 @@ mod tests {
     }
 
     #[test]
-    fn estimates_track_truth() {
-        for (seed, truth) in [(1u64, 10_000usize), (2, 100_000)] {
-            let mut sys = system_with(truth);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let report =
-                Art::default().estimate(&mut sys, Accuracy::new(0.1, 0.1), &mut rng);
-            let rel = report.relative_error(truth);
-            assert!(rel < 0.15, "n = {truth}: rel = {rel}");
-        }
-    }
-
-    #[test]
     fn art_cost_is_in_the_same_ballpark_as_ezb() {
         // Under this workspace's conservative sizing both bit-slot
         // multi-frame schemes land within a small factor of each other;
         // the run statistic must not blow the budget up.
         let acc = Accuracy::new(0.05, 0.05);
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut sys = system_with(50_000);
-        let art = Art::default().estimate(&mut sys, acc, &mut rng);
-        let mut sys2 = system_with(50_000);
-        let ezb = crate::ezb::Ezb::default().estimate(&mut sys2, acc, &mut rng);
+        let art = run(50_000, 3, acc);
+        let ezb = crate::common::test_estimate(&crate::ezb::Ezb, 50_000, (29, 7), 3, acc);
         let ratio = art.air.total_us() / ezb.air.total_us();
         assert!(
             (0.3..3.0).contains(&ratio),
@@ -216,10 +133,7 @@ mod tests {
 
     #[test]
     fn empty_population_estimates_zero() {
-        let mut sys = system_with(0);
-        let mut rng = StdRng::seed_from_u64(4);
-        let report =
-            Art::default().estimate(&mut sys, Accuracy::new(0.1, 0.1), &mut rng);
+        let report = run(0, 4, Accuracy::new(0.1, 0.1));
         assert_eq!(report.n_hat, 0.0);
         assert!(report.warnings.iter().any(|w| w.contains("no busy runs")));
     }

@@ -8,9 +8,15 @@
 //! quotes for ZOE: the number of independent Bernoulli slot observations
 //! needed so the idle-ratio inversion is an `(epsilon, delta)` estimate at
 //! load `lambda`.
+//!
+//! [`frame_series`] is the driver UPE, EZB, ART, MLE, A³, FNEB and SRC
+//! share: one rough LOF frame, then a series of rounds sized from
+//! `(epsilon, delta)` and capped by [`capped`].
 
+use crate::lof::Lof;
+use rand::RngCore;
 use rfid_hash::mix::{bucket, mix64, mix_pair, mix_pair_hashed, unit_f64};
-use rfid_sim::{ResponsePlan, SlotSink, Tag};
+use rfid_sim::{EstimationReport, PhaseReport, ResponsePlan, RfidSystem, SlotSink, Tag};
 
 /// ZOE's variance-optimal per-slot load: `lambda* ~ 1.594` (the root of
 /// the first-order condition for minimizing `(e^lambda - 1)/lambda^2`).
@@ -135,6 +141,110 @@ pub fn clamped_rho(idle: usize, total: usize) -> f64 {
     idle / total as f64
 }
 
+/// Clamp a `wanted` budget to `[min, cap]`, warning "`{what}` capped at
+/// `{cap}`" when the count used equals the cap.
+pub(crate) fn capped(
+    wanted: u64,
+    min: u64,
+    cap: u64,
+    what: &str,
+    warnings: &mut Vec<String>,
+) -> u64 {
+    let used = wanted.clamp(min, cap);
+    if used == cap {
+        warnings.push(format!("{what} capped at {cap}"));
+    }
+    used
+}
+
+/// The rounds of a [`frame_series`] after its rough phase.
+pub(crate) struct Series<'a> {
+    system: &'a mut RfidSystem,
+    rng: &'a mut dyn RngCore,
+    bits: u64,
+    rounds: u64,
+}
+
+impl Series<'_> {
+    /// Run up to `cap` rounds, stopping after a step that returns `true`,
+    /// and return how many ran. Each round draws its seed, waits one
+    /// turnaround and broadcasts `bits` bits, then runs `step` with the
+    /// seed.
+    pub(crate) fn run_until(
+        &mut self,
+        cap: u64,
+        mut step: impl FnMut(&mut RfidSystem, u32) -> bool,
+    ) -> u64 {
+        for ran in 1..=cap {
+            let seed = self.rng.next_u32();
+            self.system.turnaround();
+            self.system.broadcast(self.bits);
+            self.rounds += 1;
+            if step(self.system, seed) {
+                return ran;
+            }
+        }
+        cap
+    }
+
+    /// Run `rounds` rounds (see [`run_until`](Self::run_until)).
+    pub(crate) fn run(&mut self, rounds: u64, mut step: impl FnMut(&mut RfidSystem, u32)) {
+        self.run_until(rounds, |system, seed| {
+            step(system, seed);
+            false
+        });
+    }
+}
+
+/// The two-phase frame-series protocol: one 32-slot LOF frame for a rough
+/// estimate `n_r >= 1`, then `body(series, n_r, warnings)` sizes and runs
+/// the rounds, each with a `bits`-bit broadcast, and returns the estimate.
+/// The report has the phases `rough` and "`series` x{rounds}" and counts
+/// `1 + rounds` rounds.
+pub(crate) fn frame_series(
+    system: &mut RfidSystem,
+    rng: &mut dyn RngCore,
+    rough: &str,
+    series: &str,
+    bits: u64,
+    body: impl FnOnce(&mut Series<'_>, f64, &mut Vec<String>) -> f64,
+) -> EstimationReport {
+    let start = system.air_time();
+    let n_r = Lof {
+        rounds: 1,
+        frame: 32,
+    }
+    .rough_estimate(system, rng)
+    .max(1.0);
+    let after_rough = system.air_time();
+    let mut warnings = Vec::new();
+    let mut run = Series {
+        system,
+        rng,
+        bits,
+        rounds: 0,
+    };
+    let n_hat = body(&mut run, n_r, &mut warnings);
+    let Series { system, rounds, .. } = run;
+    let end = system.air_time();
+    EstimationReport {
+        n_hat,
+        air: end.since(&start),
+        phases: vec![
+            PhaseReport {
+                name: rough.into(),
+                air: after_rough.since(&start),
+            },
+            PhaseReport {
+                name: format!("{series} x{rounds}"),
+                air: end.since(&after_rough),
+            },
+        ],
+        rounds: 1 + rounds,
+        warnings,
+    }
+}
+
 /// Median of a non-empty slice (average of the middle pair for even
 /// lengths).
 pub fn median(xs: &mut [f64]) -> f64 {
@@ -148,6 +258,28 @@ pub fn median(xs: &mut [f64]) -> f64 {
         // analysis:allow(panic-path): even branch means n >= 2, so n/2 - 1 and n/2 are in range
         0.5 * (xs[n / 2 - 1] + xs[n / 2])
     }
+}
+
+/// Run `est` on `n` tags with IDs `i * stride + offset` and RNs `i`, the
+/// reader's RNG seeded with `seed`: the baselines' unit-test harness.
+#[cfg(test)]
+pub(crate) fn test_estimate(
+    est: &dyn rfid_sim::CardinalityEstimator,
+    n: usize,
+    (stride, offset): (u64, u64),
+    seed: u64,
+    accuracy: rfid_sim::Accuracy,
+) -> EstimationReport {
+    use rand::SeedableRng;
+    let tags = (0..n as u64)
+        .map(|i| Tag {
+            id: i * stride + offset,
+            rn: i as u32,
+        })
+        .collect();
+    let mut system = RfidSystem::new(rfid_sim::TagPopulation::new(tags));
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    est.estimate(&mut system, accuracy, &mut rng)
 }
 
 #[cfg(test)]
@@ -238,6 +370,35 @@ mod tests {
         assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 2.5);
         assert_eq!(median(&mut [7.0]), 7.0);
+    }
+
+    #[test]
+    fn frame_series_estimates_track_truth() {
+        use crate::{Art, Ezb, Fneb, Mle, Src, Upe, A3};
+        use rfid_sim::{Accuracy, CardinalityEstimator};
+        let (paper, loose) = (Accuracy::paper_default(), Accuracy::new(0.1, 0.1));
+        // (estimator, test IDs, accuracy, tolerance, (seed, n) runs)
+        #[rustfmt::skip]
+        type Case = (&'static dyn CardinalityEstimator, (u64, u64), Accuracy, f64, &'static [(u64, usize)]);
+        #[rustfmt::skip]
+        let cases: [Case; 8] = [
+            (&Upe, (17, 9), paper, 0.1, &[(1, 5_000), (2, 50_000)]),
+            (&Ezb, (19, 11), paper, 0.08, &[(1, 5_000), (2, 50_000), (3, 500_000)]),
+            (&Art, (29, 7), loose, 0.15, &[(1, 10_000), (2, 100_000)]),
+            (&Mle, (31, 3), loose, 0.15, &[(1, 5_000), (2, 50_000)]),
+            (&A3, (41, 17), paper, 0.06, &[(1, 10_000), (2, 100_000), (3, 500_000)]),
+            // One LOF frame bootstraps A³ only to a constant factor; its
+            // weights absorb the off-optimal early rounds.
+            (&A3, (41, 17), paper, 0.05, &[(6, 64_000)]),
+            (&Fneb, (23, 2), loose, 0.15, &[(1, 2_000), (2, 20_000)]),
+            (&Src, (13, 1), paper, 0.07, &[(1, 10_000), (2, 100_000), (3, 500_000)]),
+        ];
+        for (est, ids, accuracy, tolerance, runs) in cases {
+            for &(seed, n) in runs {
+                let rel = test_estimate(est, n, ids, seed, accuracy).relative_error(n);
+                assert!(rel < tolerance, "{} at n = {n}: rel = {rel}", est.name());
+            }
+        }
     }
 
     #[test]

@@ -8,26 +8,22 @@
 //! round is a balanced frame; the averaged empty fraction inverts through
 //! `rho = e^(-p n / f)`.
 
-use crate::common::{clamped_rho, required_trials, uniform_frame_plan, ZOE_OPTIMAL_LAMBDA};
-use crate::lof::Lof;
-use rand::RngCore;
-use rfid_sim::{
-    Accuracy, CardinalityEstimator, EstimationReport, PhaseReport, RfidSystem,
+use crate::common::{
+    capped, clamped_rho, frame_series, required_trials, uniform_frame_plan, Series,
+    ZOE_OPTIMAL_LAMBDA,
 };
+use rand::RngCore;
+use rfid_sim::{Accuracy, CardinalityEstimator, EstimationReport, RfidSystem};
 use rfid_stats::d_for_delta;
 
-/// The EZB estimator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Ezb {
-    /// Frame size per round (bit-slots).
-    pub frame: usize,
-}
+/// Frame size per round (bit-slots).
+const FRAME: usize = 1024;
+/// Round cap (ART's): binds only below `epsilon ~ 0.004`.
+const MAX_ROUNDS: u64 = 512;
 
-impl Default for Ezb {
-    fn default() -> Self {
-        Self { frame: 1024 }
-    }
-}
+/// The EZB estimator.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Ezb;
 
 impl CardinalityEstimator for Ezb {
     fn name(&self) -> &'static str {
@@ -40,118 +36,54 @@ impl CardinalityEstimator for Ezb {
         accuracy: Accuracy,
         rng: &mut dyn RngCore,
     ) -> EstimationReport {
-        let mut warnings = Vec::new();
-        let start = system.air_time();
-        let f = self.frame;
+        let body = |series: &mut Series<'_>, n_r: f64, warnings: &mut Vec<String>| {
+            let p = (ZOE_OPTIMAL_LAMBDA * FRAME as f64 / n_r).min(1.0);
+            let d = d_for_delta(accuracy.delta);
+            let trials = required_trials(accuracy.epsilon, d, ZOE_OPTIMAL_LAMBDA);
+            let wanted = trials.div_ceil(FRAME as u64);
+            let rounds = capped(wanted, 1, MAX_ROUNDS, "round budget", warnings);
 
-        let n_r = Lof {
-            rounds: 1,
-            frame: 32,
-        }
-        .rough_estimate(system, rng)
-        .max(1.0);
-        let after_rough = system.air_time();
-
-        let p = (ZOE_OPTIMAL_LAMBDA * f as f64 / n_r).min(1.0);
-        let d = d_for_delta(accuracy.delta);
-        let trials = required_trials(accuracy.epsilon, d, ZOE_OPTIMAL_LAMBDA);
-        let rounds = trials.div_ceil(f as u64).max(1);
-
-        let mut idle = 0usize;
-        for _ in 0..rounds {
-            let seed = rng.next_u32();
-            system.turnaround();
-            system.broadcast(64);
-            let frame = system.run_bitslot_frame(f, &uniform_frame_plan(seed, f, p));
-            idle += frame.idle_count();
-        }
-        let total = rounds as usize * f;
-        if idle == 0 || idle == total {
-            warnings.push("degenerate EZB observations; rho clamped".into());
-        }
-        let rho = clamped_rho(idle, total);
-        let n_hat = -(f as f64) * rho.ln() / p;
-
-        let end = system.air_time();
-        EstimationReport {
-            n_hat,
-            air: end.since(&start),
-            phases: vec![
-                PhaseReport {
-                    name: "rough (LOF)".into(),
-                    air: after_rough.since(&start),
-                },
-                PhaseReport {
-                    name: format!("zero frames x{rounds}"),
-                    air: end.since(&after_rough),
-                },
-            ],
-            rounds: 1 + rounds,
-            warnings,
-        }
+            let mut idle = 0;
+            series.run(rounds, |system, seed| {
+                let frame = system.run_bitslot_frame(FRAME, &uniform_frame_plan(seed, FRAME, p));
+                idle += frame.idle_count();
+            });
+            let total = rounds as usize * FRAME;
+            if idle == 0 || idle == total {
+                warnings.push("degenerate EZB observations; rho clamped".into());
+            }
+            -(FRAME as f64) * clamped_rho(idle, total).ln() / p
+        };
+        frame_series(system, rng, "rough (LOF)", "zero frames", 64, body)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use rfid_sim::{Tag, TagPopulation};
 
-    fn system_with(n: usize) -> RfidSystem {
-        let tags = (0..n as u64)
-            .map(|i| Tag {
-                id: i * 19 + 11,
-                rn: i as u32,
-            })
-            .collect();
-        RfidSystem::new(TagPopulation::new(tags))
-    }
-
-    #[test]
-    fn estimates_meet_paper_default_accuracy_usually() {
-        for (seed, truth) in [(1u64, 5_000usize), (2, 50_000), (3, 500_000)] {
-            let mut sys = system_with(truth);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let report =
-                Ezb::default().estimate(&mut sys, Accuracy::paper_default(), &mut rng);
-            let rel = report.relative_error(truth);
-            assert!(rel < 0.08, "n = {truth}: rel = {rel}");
-        }
+    fn run(n: usize, seed: u64, accuracy: Accuracy) -> EstimationReport {
+        crate::common::test_estimate(&Ezb, n, (19, 11), seed, accuracy)
     }
 
     #[test]
     fn uses_bitslots_not_aloha() {
-        let mut sys = system_with(10_000);
-        let mut rng = StdRng::seed_from_u64(4);
-        let report =
-            Ezb::default().estimate(&mut sys, Accuracy::paper_default(), &mut rng);
+        let report = run(10_000, 4, Accuracy::paper_default());
         assert_eq!(report.air.aloha_slots, 0);
         assert!(report.air.bitslots > 1024);
     }
 
     #[test]
     fn much_cheaper_than_upe() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut sys = system_with(10_000);
-        let ezb =
-            Ezb::default().estimate(&mut sys, Accuracy::paper_default(), &mut rng);
-        let mut sys2 = system_with(10_000);
-        let upe = crate::upe::Upe::default().estimate(
-            &mut sys2,
-            Accuracy::paper_default(),
-            &mut rng,
-        );
+        let acc = Accuracy::paper_default();
+        let ezb = run(10_000, 5, acc);
+        let upe = crate::common::test_estimate(&crate::upe::Upe, 10_000, (19, 11), 5, acc);
         assert!(ezb.air.total_us() < upe.air.total_us() / 4.0);
     }
 
     #[test]
     fn empty_population_warns_and_returns_small() {
-        let mut sys = system_with(0);
-        let mut rng = StdRng::seed_from_u64(6);
-        let report =
-            Ezb::default().estimate(&mut sys, Accuracy::paper_default(), &mut rng);
+        let report = run(0, 6, Accuracy::paper_default());
         // p clamps to 1, all slots idle -> clamped rho -> tiny estimate.
         assert!(report.n_hat < 5.0, "n_hat = {}", report.n_hat);
         assert!(!report.warnings.is_empty());

@@ -15,32 +15,30 @@
 //! (exactly the same observable), then senses the watched prefix through
 //! the channel model.
 
-use crate::common::uniform_slot;
-use crate::lof::Lof;
+use crate::common::{capped, frame_series, uniform_slot, Series};
 use rand::RngCore;
 use rfid_sim::parallel::par_fold;
-use rfid_sim::{
-    Accuracy, CardinalityEstimator, EstimationReport, PhaseReport, RfidSystem,
-};
+use rfid_sim::{Accuracy, CardinalityEstimator, EstimationReport, RfidSystem};
 use rfid_stats::d_for_delta;
+use std::cmp::Ordering;
 
-/// The FNEB estimator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Fneb {
-    /// Target mean first-busy position (frame size ~ target * n_rough).
-    pub target_position: f64,
-    /// Upper bound on repetition rounds.
-    pub max_rounds: u64,
-}
+/// Target mean first-busy position (frame size ~ target * n_rough).
+const TARGET_POSITION: f64 = 20.0;
+/// Upper bound on repetition rounds.
+const MAX_ROUNDS: u64 = 2_048;
 
-impl Default for Fneb {
-    fn default() -> Self {
-        Self {
-            target_position: 20.0,
-            max_rounds: 2_048,
-        }
+/// Fold `other` into the earliest `(slot, responders)` seen so far.
+fn keep_first(acc: &mut (usize, u64), other: (usize, u64)) {
+    match other.0.cmp(&acc.0) {
+        Ordering::Less => *acc = other,
+        Ordering::Equal => acc.1 += other.1,
+        Ordering::Greater => {}
     }
 }
+
+/// The FNEB estimator.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Fneb;
 
 impl CardinalityEstimator for Fneb {
     fn name(&self) -> &'static str {
@@ -53,137 +51,67 @@ impl CardinalityEstimator for Fneb {
         accuracy: Accuracy,
         rng: &mut dyn RngCore,
     ) -> EstimationReport {
-        let mut warnings = Vec::new();
-        let start = system.air_time();
+        let body = |series: &mut Series<'_>, n_r: f64, warnings: &mut Vec<String>| {
+            // Frame sized so E[first busy] ~ TARGET_POSITION.
+            let f = ((TARGET_POSITION * n_r).ceil() as usize).max(64);
+            // Relative error of the mean-position inversion is ~ 1/sqrt(rounds);
+            // meet (epsilon, delta) via rounds = (d / epsilon)^2, capped.
+            let d = d_for_delta(accuracy.delta);
+            let wanted = ((d / accuracy.epsilon).powi(2)).ceil() as u64;
+            let rounds = capped(wanted, 8, MAX_ROUNDS, "round budget", warnings);
 
-        let n_r = Lof {
-            rounds: 1,
-            frame: 32,
-        }
-        .rough_estimate(system, rng)
-        .max(1.0);
-        let after_rough = system.air_time();
+            let mut position_sum = 0.0f64;
+            series.run(rounds, |system, seed| {
+                // True first-responder slot = min over tags; also count how
+                // many tags share it (they all transmit before the reader
+                // terminates the frame — the round's energy cost).
+                let (true_min, responders_at_min) = par_fold(
+                    system.population().tags(),
+                    20_000,
+                    || (usize::MAX, 0u64),
+                    |acc, tag| keep_first(acc, (uniform_slot(tag, seed, f), 1)),
+                    keep_first,
+                );
+                system.charge_tag_responses(responders_at_min);
+                // Sense the watched prefix through the channel (a noisy channel
+                // can fire early or push the stop later).
+                let watched = true_min.saturating_add(1).min(f);
+                let mut counts = vec![0u32; watched];
+                if true_min < f {
+                    // analysis:allow(panic-path): guarded by true_min < f, and watched = true_min + 1 on that branch
+                    counts[true_min] = 1;
+                }
+                let sensed = system.sense_counts(&counts);
+                let observed_pos = (0..sensed.observed())
+                    .find(|&i| sensed.is_busy(i))
+                    .map(|i| i + 1)
+                    .unwrap_or(f + 1);
+                system.charge_bitslots(observed_pos.min(f) as u64);
+                position_sum += observed_pos as f64;
+            });
 
-        // Frame sized so E[first busy] ~ target_position.
-        let f = ((self.target_position * n_r).ceil() as usize).max(64);
-        // Relative error of the mean-position inversion is ~ 1/sqrt(rounds);
-        // meet (epsilon, delta) via rounds = (d / epsilon)^2, capped.
-        let d = d_for_delta(accuracy.delta);
-        let rounds = (((d / accuracy.epsilon).powi(2)).ceil() as u64)
-            .clamp(8, self.max_rounds);
-        if rounds == self.max_rounds {
-            warnings.push(format!(
-                "round budget capped at {}; accuracy not guaranteed",
-                self.max_rounds
-            ));
-        }
-
-        let mut position_sum = 0.0f64;
-        for _ in 0..rounds {
-            let seed = rng.next_u32();
-            system.turnaround();
-            system.broadcast(32);
-            // True first-responder slot = min over tags; also count how
-            // many tags share it (they all transmit before the reader
-            // terminates the frame — the round's energy cost).
-            let (true_min, responders_at_min) = par_fold(
-                system.population().tags(),
-                20_000,
-                || (usize::MAX, 0u64),
-                |acc, tag| {
-                    let slot = uniform_slot(tag, seed, f);
-                    match slot.cmp(&acc.0) {
-                        std::cmp::Ordering::Less => *acc = (slot, 1),
-                        std::cmp::Ordering::Equal => acc.1 += 1,
-                        std::cmp::Ordering::Greater => {}
-                    }
-                },
-                |acc, other| match other.0.cmp(&acc.0) {
-                    std::cmp::Ordering::Less => *acc = other,
-                    std::cmp::Ordering::Equal => acc.1 += other.1,
-                    std::cmp::Ordering::Greater => {}
-                },
-            );
-            system.charge_tag_responses(responders_at_min);
-            // Sense the watched prefix through the channel (a noisy channel
-            // can fire early or push the stop later).
-            let watched = true_min.saturating_add(1).min(f);
-            let mut counts = vec![0u32; watched];
-            if true_min < f {
-                // analysis:allow(panic-path): guarded by true_min < f, and watched = true_min + 1 on that branch
-                counts[true_min] = 1;
-            }
-            let sensed = system.sense_counts(&counts);
-            let observed_pos = (0..sensed.observed())
-                .find(|&i| sensed.is_busy(i))
-                .map(|i| i + 1)
-                .unwrap_or(f + 1);
-            system.charge_bitslots(observed_pos.min(f) as u64);
-            position_sum += observed_pos as f64;
-        }
-
-        let mean_pos = position_sum / rounds as f64;
-        // Invert E[pos] = 1/q, q = 1 - (1 - 1/f)^n.
-        let q_hat = (1.0 / mean_pos).min(1.0 - 1e-12);
-        // ln(1 - x) via ln_1p(-x): q_hat can sit next to 0 (huge frames)
-        // where 1.0 - q_hat would round away the whole signal.
-        let n_hat = (-q_hat).ln_1p() / (-1.0 / f as f64).ln_1p();
-
-        let end = system.air_time();
-        EstimationReport {
-            n_hat,
-            air: end.since(&start),
-            phases: vec![
-                PhaseReport {
-                    name: "rough (LOF)".into(),
-                    air: after_rough.since(&start),
-                },
-                PhaseReport {
-                    name: format!("first-busy probes x{rounds}"),
-                    air: end.since(&after_rough),
-                },
-            ],
-            rounds: 1 + rounds,
-            warnings,
-        }
+            let mean_pos = position_sum / rounds as f64;
+            // Invert E[pos] = 1/q, q = 1 - (1 - 1/f)^n.
+            let q_hat = (1.0 / mean_pos).min(1.0 - 1e-12);
+            // ln(1 - x) via ln_1p(-x): q_hat can sit next to 0 (huge frames)
+            // where 1.0 - q_hat would round away the whole signal.
+            (-q_hat).ln_1p() / (-1.0 / f as f64).ln_1p()
+        };
+        frame_series(system, rng, "rough (LOF)", "first-busy probes", 32, body)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use rfid_sim::{Tag, TagPopulation};
 
-    fn system_with(n: usize) -> RfidSystem {
-        let tags = (0..n as u64)
-            .map(|i| Tag {
-                id: i * 23 + 2,
-                rn: i as u32,
-            })
-            .collect();
-        RfidSystem::new(TagPopulation::new(tags))
-    }
-
-    #[test]
-    fn estimates_track_truth() {
-        for (seed, truth) in [(1u64, 2_000usize), (2, 20_000)] {
-            let mut sys = system_with(truth);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let report =
-                Fneb::default().estimate(&mut sys, Accuracy::new(0.1, 0.1), &mut rng);
-            let rel = report.relative_error(truth);
-            assert!(rel < 0.15, "n = {truth}: rel = {rel}");
-        }
+    fn run(n: usize, seed: u64, accuracy: Accuracy) -> EstimationReport {
+        crate::common::test_estimate(&Fneb, n, (23, 2), seed, accuracy)
     }
 
     #[test]
     fn observed_slots_stay_near_target_position() {
-        let mut sys = system_with(10_000);
-        let mut rng = StdRng::seed_from_u64(3);
-        let report =
-            Fneb::default().estimate(&mut sys, Accuracy::new(0.2, 0.2), &mut rng);
+        let report = run(10_000, 3, Accuracy::new(0.2, 0.2));
         let probes = report.rounds - 1;
         let mean_watched = report.phases[1].air.bitslots as f64 / probes as f64;
         assert!(
@@ -194,22 +122,15 @@ mod tests {
 
     #[test]
     fn rounds_cap_produces_warning() {
-        let fneb = Fneb {
-            target_position: 20.0,
-            max_rounds: 16,
-        };
-        let mut sys = system_with(5_000);
-        let mut rng = StdRng::seed_from_u64(4);
-        let report = fneb.estimate(&mut sys, Accuracy::new(0.05, 0.05), &mut rng);
+        // (0.01, 0.01) wants (2.576 / 0.01)^2 ~ 66k probes.
+        let report = run(5_000, 4, Accuracy::new(0.01, 0.01));
+        assert_eq!(report.rounds, 1 + MAX_ROUNDS);
         assert!(report.warnings.iter().any(|w| w.contains("capped")));
     }
 
     #[test]
     fn empty_population_returns_near_zero() {
-        let mut sys = system_with(0);
-        let mut rng = StdRng::seed_from_u64(5);
-        let report =
-            Fneb::default().estimate(&mut sys, Accuracy::new(0.2, 0.2), &mut rng);
+        let report = run(0, 5, Accuracy::new(0.2, 0.2));
         // Every probe runs off the end of the frame: q_hat ~ 1/(f+1).
         assert!(report.n_hat < 5.0, "n_hat = {}", report.n_hat);
     }

@@ -72,14 +72,14 @@ pub fn all_baselines() -> Vec<Box<dyn rfid_sim::CardinalityEstimator>> {
     vec![
         Box::new(Lof::default()),
         Box::new(Zoe::default()),
-        Box::new(Src::default()),
-        Box::new(Upe::default()),
-        Box::new(Ezb::default()),
-        Box::new(Fneb::default()),
-        Box::new(Art::default()),
-        Box::new(Mle::default()),
+        Box::new(Src),
+        Box::new(Upe),
+        Box::new(Ezb),
+        Box::new(Fneb),
+        Box::new(Art),
+        Box::new(Mle),
         Box::new(Pet::default()),
-        Box::new(A3::default()),
+        Box::new(A3),
         Box::new(HllPp::default()),
         Box::new(LogLogBeta::default()),
     ]

@@ -9,12 +9,11 @@
 //! The score is strictly decreasing in `n`, so the MLE is found by
 //! bisection on the score function ([`mle_solve`]).
 
-use crate::common::{uniform_frame_plan, ZOE_OPTIMAL_LAMBDA};
-use crate::lof::Lof;
-use rand::RngCore;
-use rfid_sim::{
-    Accuracy, CardinalityEstimator, EstimationReport, PhaseReport, RfidSystem,
+use crate::common::{
+    capped, frame_series, required_trials, uniform_frame_plan, Series, ZOE_OPTIMAL_LAMBDA,
 };
+use rand::RngCore;
+use rfid_sim::{Accuracy, CardinalityEstimator, EstimationReport, RfidSystem};
 use rfid_stats::d_for_delta;
 
 /// One frame's sufficient statistics: persistence, frame size, busy count.
@@ -54,10 +53,7 @@ fn score(observations: &[FrameObservation], n: f64) -> f64 {
 pub fn mle_solve(observations: &[FrameObservation], n_max: f64) -> Option<f64> {
     assert!(!observations.is_empty(), "no observations");
     assert!(n_max > 1.0, "n_max must exceed 1");
-    if observations.iter().all(|o| o.busy == 0) {
-        return None;
-    }
-    if observations.iter().all(|o| o.busy == o.f) {
+    if observations.iter().all(|o| o.busy == 0) || observations.iter().all(|o| o.busy == o.f) {
         return None;
     }
     let (mut lo, mut hi) = (1e-9, n_max);
@@ -76,23 +72,20 @@ pub fn mle_solve(observations: &[FrameObservation], n_max: f64) -> Option<f64> {
     Some(0.5 * (lo + hi))
 }
 
-/// The MLE estimator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Mle {
-    /// Frame size per round (bit-slots).
-    pub frame: usize,
-    /// Upper bound on rounds.
-    pub max_rounds: u64,
+/// Frame size per round (bit-slots).
+const FRAME: usize = 256;
+/// Upper bound on rounds.
+const MAX_ROUNDS: u64 = 256;
+
+/// The energy-saving persistence schedule: round `i` (0-based) runs at
+/// `p0 / 2^(i mod 3)` — full, half, quarter, repeating — floored at `1e-9`.
+pub fn persistence(p0: f64, round: usize) -> f64 {
+    (p0 / 2f64.powi((round % 3) as i32)).max(1e-9)
 }
 
-impl Default for Mle {
-    fn default() -> Self {
-        Self {
-            frame: 256,
-            max_rounds: 256,
-        }
-    }
-}
+/// The MLE estimator.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Mle;
 
 impl CardinalityEstimator for Mle {
     fn name(&self) -> &'static str {
@@ -105,88 +98,41 @@ impl CardinalityEstimator for Mle {
         accuracy: Accuracy,
         rng: &mut dyn RngCore,
     ) -> EstimationReport {
-        let mut warnings = Vec::new();
-        let start = system.air_time();
-        let f = self.frame;
+        let body = |series: &mut Series<'_>, n_r: f64, warnings: &mut Vec<String>| {
+            // Total Bernoulli observations needed at the optimal load; the ML
+            // fit extracts the same information as the zero estimator.
+            let d = d_for_delta(accuracy.delta);
+            let trials = required_trials(accuracy.epsilon, d, ZOE_OPTIMAL_LAMBDA);
+            let wanted = trials.div_ceil(FRAME as u64);
+            let rounds = capped(wanted, 2, MAX_ROUNDS, "round budget", warnings);
 
-        let n_r = Lof {
-            rounds: 1,
-            frame: 32,
-        }
-        .rough_estimate(system, rng)
-        .max(1.0);
-        let after_rough = system.air_time();
-
-        // Total Bernoulli observations needed at the optimal load; the ML
-        // fit extracts the same information as the zero estimator.
-        let d = d_for_delta(accuracy.delta);
-        let trials =
-            crate::common::required_trials(accuracy.epsilon, d, ZOE_OPTIMAL_LAMBDA);
-        let rounds = trials.div_ceil(f as u64).clamp(2, self.max_rounds);
-        if rounds == self.max_rounds {
-            warnings.push(format!("round budget capped at {}", self.max_rounds));
-        }
-
-        let p0 = (ZOE_OPTIMAL_LAMBDA * f as f64 / n_r).min(1.0);
-        let mut observations = Vec::with_capacity(rounds as usize);
-        for i in 0..rounds {
-            // Energy-saving schedule: alternate full / half / quarter
-            // persistence.
-            let p = (p0 / 2f64.powi((i % 3) as i32)).max(1e-9);
-            let seed = rng.next_u32();
-            system.turnaround();
-            system.broadcast(64);
-            let frame = system.run_bitslot_frame(f, &uniform_frame_plan(seed, f, p));
-            observations.push(FrameObservation {
-                p,
-                f,
-                busy: frame.busy_count(),
+            let p0 = (ZOE_OPTIMAL_LAMBDA * FRAME as f64 / n_r).min(1.0);
+            let mut observations = Vec::with_capacity(rounds as usize);
+            series.run(rounds, |system, seed| {
+                let p = persistence(p0, observations.len());
+                let frame = system.run_bitslot_frame(FRAME, &uniform_frame_plan(seed, FRAME, p));
+                observations.push(FrameObservation {
+                    p,
+                    f: FRAME,
+                    busy: frame.busy_count(),
+                });
             });
-        }
 
-        let n_hat = match mle_solve(&observations, 1e10) {
-            Some(n) => n,
-            None => {
+            mle_solve(&observations, 1e10).unwrap_or_else(|| {
                 warnings.push("likelihood degenerate; falling back to 0".into());
                 0.0
-            }
+            })
         };
-
-        let end = system.air_time();
-        EstimationReport {
-            n_hat,
-            air: end.since(&start),
-            phases: vec![
-                PhaseReport {
-                    name: "rough (LOF)".into(),
-                    air: after_rough.since(&start),
-                },
-                PhaseReport {
-                    name: format!("ML frames x{rounds}"),
-                    air: end.since(&after_rough),
-                },
-            ],
-            rounds: 1 + rounds,
-            warnings,
-        }
+        frame_series(system, rng, "rough (LOF)", "ML frames", 64, body)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use rfid_sim::{Tag, TagPopulation};
 
-    fn system_with(n: usize) -> RfidSystem {
-        let tags = (0..n as u64)
-            .map(|i| Tag {
-                id: i * 31 + 3,
-                rn: i as u32,
-            })
-            .collect();
-        RfidSystem::new(TagPopulation::new(tags))
+    fn run(n: usize, seed: u64, accuracy: Accuracy) -> EstimationReport {
+        crate::common::test_estimate(&Mle, n, (31, 3), seed, accuracy)
     }
 
     #[test]
@@ -207,10 +153,7 @@ mod tests {
             })
             .collect();
         let got = mle_solve(&obs, 1e9).unwrap();
-        assert!(
-            ((got - n) / n).abs() < 0.01,
-            "MLE {got} vs truth {n}"
-        );
+        assert!(((got - n) / n).abs() < 0.01, "MLE {got} vs truth {n}");
     }
 
     #[test]
@@ -230,37 +173,15 @@ mod tests {
     }
 
     #[test]
-    fn estimates_track_truth() {
-        for (seed, truth) in [(1u64, 5_000usize), (2, 50_000)] {
-            let mut sys = system_with(truth);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let report =
-                Mle::default().estimate(&mut sys, Accuracy::new(0.1, 0.1), &mut rng);
-            let rel = report.relative_error(truth);
-            assert!(rel < 0.15, "n = {truth}: rel = {rel}");
-        }
-    }
-
-    #[test]
     fn persistence_schedule_halves() {
-        // The schedule must actually save tag energy: later frames use
-        // smaller p. Verified indirectly: the estimator still converges
-        // with the mixed schedule (covered above) and the schedule
-        // generator is deterministic.
-        let p0 = 0.8f64;
-        let ps: Vec<f64> = (0..6).map(|i| p0 / 2f64.powi(i % 3)).collect();
-        assert_eq!(ps[0], 0.8);
-        assert_eq!(ps[1], 0.4);
-        assert_eq!(ps[2], 0.2);
-        assert_eq!(ps[3], 0.8);
+        // Later frames of each triple save tag energy with a smaller p.
+        let ps: Vec<f64> = (0..6).map(|i| persistence(0.8, i)).collect();
+        assert_eq!(ps, [0.8, 0.4, 0.2, 0.8, 0.4, 0.2]);
+        assert_eq!(persistence(1e-12, 0), 1e-9);
     }
 
     #[test]
     fn empty_population_estimates_zero() {
-        let mut sys = system_with(0);
-        let mut rng = StdRng::seed_from_u64(3);
-        let report =
-            Mle::default().estimate(&mut sys, Accuracy::new(0.1, 0.1), &mut rng);
-        assert_eq!(report.n_hat, 0.0);
+        assert_eq!(run(0, 3, Accuracy::new(0.1, 0.1)).n_hat, 0.0);
     }
 }

@@ -20,52 +20,39 @@
 //! single frame still wins at tight accuracy.
 
 use crate::common::{
-    clamped_rho, median, required_trials, uniform_frame_plan, ZOE_OPTIMAL_LAMBDA,
+    capped, clamped_rho, frame_series, median, required_trials, uniform_frame_plan, Series,
+    ZOE_OPTIMAL_LAMBDA,
 };
-use crate::lof::Lof;
 use rand::RngCore;
-use rfid_sim::{
-    Accuracy, CardinalityEstimator, EstimationReport, PhaseReport, RfidSystem,
-};
+use rfid_sim::{Accuracy, CardinalityEstimator, EstimationReport, RfidSystem};
 use rfid_stats::{d_for_delta, majority_rounds};
 
-/// The SRC estimator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[allow(clippy::derive_partial_eq_without_eq)]
-pub struct Src {
-    /// Per-round error probability (the BFCE paper's setup fixes 0.2).
-    pub per_round_delta: f64,
-    /// Multiplicative sizing slack on the per-round frame, covering the
-    /// load mismatch a factor-2 rough estimate can cause.
-    pub sizing_slack: f64,
-    /// LOF rounds in phase 1 (one geometric frame by default).
-    pub rough_rounds: u32,
-}
+/// Per-round error probability (the BFCE paper's setup fixes 0.2).
+const PER_ROUND_DELTA: f64 = 0.2;
+/// Multiplicative sizing slack on the per-round frame, covering the load
+/// mismatch a factor-2 rough estimate can cause.
+const SIZING_SLACK: f64 = 2.0;
+/// Cap on the per-round frame: binds only below `epsilon ~ 0.003`.
+const MAX_FRAME: u64 = 1 << 20;
 
-impl Default for Src {
-    fn default() -> Self {
-        Self {
-            per_round_delta: 0.2,
-            sizing_slack: 2.0,
-            rough_rounds: 1,
-        }
-    }
-}
+/// The SRC estimator.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Src;
 
 impl Src {
-    /// Per-round frame size for a given `epsilon`.
+    /// Per-round frame size for a given `epsilon`, before the frame cap.
     pub fn round_frame_size(&self, epsilon: f64) -> usize {
-        let d0 = d_for_delta(self.per_round_delta);
+        let d0 = d_for_delta(PER_ROUND_DELTA);
         let base = required_trials(epsilon, d0, ZOE_OPTIMAL_LAMBDA);
-        ((base as f64) * self.sizing_slack).ceil() as usize
+        ((base as f64) * SIZING_SLACK).ceil() as usize
     }
 
     /// Number of phase-2 rounds for a target `delta`.
     pub fn rounds_for(&self, delta: f64) -> u64 {
-        if delta >= self.per_round_delta {
+        if delta >= PER_ROUND_DELTA {
             1
         } else {
-            majority_rounds(delta, 1.0 - self.per_round_delta)
+            majority_rounds(delta, 1.0 - PER_ROUND_DELTA)
         }
     }
 }
@@ -81,116 +68,57 @@ impl CardinalityEstimator for Src {
         accuracy: Accuracy,
         rng: &mut dyn RngCore,
     ) -> EstimationReport {
-        let mut warnings = Vec::new();
-        let start = system.air_time();
-
-        // Phase 1: rough constant-factor estimate.
-        let lof = Lof {
-            rounds: self.rough_rounds,
-            frame: 32,
+        // Phase 2: m balanced frames of s slots, median vote. Each round's
+        // broadcast carries the seed plus the persistence parameter.
+        let body = |series: &mut Series<'_>, n_r: f64, warnings: &mut Vec<String>| {
+            let wanted = self.round_frame_size(accuracy.epsilon) as u64;
+            let s = capped(wanted, 1, MAX_FRAME, "frame size", warnings) as usize;
+            let m = self.rounds_for(accuracy.delta);
+            let p = (ZOE_OPTIMAL_LAMBDA * s as f64 / n_r).min(1.0);
+            let mut estimates = Vec::with_capacity(m as usize);
+            series.run(m, |system, seed| {
+                let frame = system.run_bitslot_frame(s, &uniform_frame_plan(seed, s, p));
+                let idle = frame.idle_count();
+                if idle == 0 || idle == s {
+                    warnings.push("degenerate SRC frame; rho clamped".into());
+                }
+                estimates.push(-(s as f64) * clamped_rho(idle, s).ln() / p);
+            });
+            median(&mut estimates)
         };
-        let n_r = lof.rough_estimate(system, rng).max(1.0);
-        let after_rough = system.air_time();
-
-        // Phase 2: m balanced frames, median vote.
-        let s = self.round_frame_size(accuracy.epsilon);
-        let m = self.rounds_for(accuracy.delta);
-        let p = (ZOE_OPTIMAL_LAMBDA * s as f64 / n_r).min(1.0);
-        let mut estimates = Vec::with_capacity(m as usize);
-        for _ in 0..m {
-            let seed = rng.next_u32();
-            system.turnaround();
-            // Seed plus persistence parameter.
-            system.broadcast(64);
-            let plan = uniform_frame_plan(seed, s, p);
-            let frame = system.run_bitslot_frame(s, &plan);
-            let idle = frame.idle_count();
-            if idle == 0 || idle == s {
-                warnings.push("degenerate SRC frame; rho clamped".into());
-            }
-            let rho = clamped_rho(idle, s);
-            estimates.push(-(s as f64) * rho.ln() / p);
-        }
-        let n_hat = median(&mut estimates);
-        let end = system.air_time();
-
-        EstimationReport {
-            n_hat,
-            air: end.since(&start),
-            phases: vec![
-                PhaseReport {
-                    name: "rough (LOF)".into(),
-                    air: after_rough.since(&start),
-                },
-                PhaseReport {
-                    name: format!("balanced frames x{m}"),
-                    air: end.since(&after_rough),
-                },
-            ],
-            rounds: self.rough_rounds as u64 + m,
-            warnings,
-        }
+        frame_series(system, rng, "rough (LOF)", "balanced frames", 64, body)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use rfid_sim::{Tag, TagPopulation};
 
-    fn system_with(n: usize) -> RfidSystem {
-        let tags = (0..n as u64)
-            .map(|i| Tag {
-                id: i * 13 + 1,
-                rn: i as u32,
-            })
-            .collect();
-        RfidSystem::new(TagPopulation::new(tags))
+    fn run(n: usize, seed: u64, accuracy: Accuracy) -> EstimationReport {
+        crate::common::test_estimate(&Src, n, (13, 1), seed, accuracy)
     }
 
     #[test]
     fn round_structure_follows_the_binomial_rule() {
-        let src = Src::default();
-        assert_eq!(src.rounds_for(0.05), 7);
-        assert_eq!(src.rounds_for(0.10), 5);
-        assert_eq!(src.rounds_for(0.15), 3);
-        assert_eq!(src.rounds_for(0.20), 1);
-        assert_eq!(src.rounds_for(0.30), 1);
+        for (delta, m) in [(0.05, 7), (0.10, 5), (0.15, 3), (0.20, 1), (0.30, 1)] {
+            assert_eq!(Src.rounds_for(delta), m, "delta = {delta}");
+        }
     }
 
     #[test]
     fn frame_size_scales_inverse_quadratically() {
-        let src = Src::default();
-        let s5 = src.round_frame_size(0.05);
-        let s10 = src.round_frame_size(0.10);
-        let ratio = s5 as f64 / s10 as f64;
+        let s5 = Src.round_frame_size(0.05);
+        let ratio = s5 as f64 / Src.round_frame_size(0.10) as f64;
         assert!((3.5..4.5).contains(&ratio), "ratio = {ratio}");
         // Absolute scale sanity: thousands at 5%.
         assert!((2500..5000).contains(&s5), "s5 = {s5}");
     }
 
     #[test]
-    fn estimates_land_within_epsilon_usually() {
-        for (seed, truth) in [(1u64, 10_000usize), (2, 100_000), (3, 500_000)] {
-            let mut sys = system_with(truth);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let report =
-                Src::default().estimate(&mut sys, Accuracy::paper_default(), &mut rng);
-            let rel = report.relative_error(truth);
-            assert!(rel < 0.07, "n = {truth}: rel = {rel}");
-        }
-    }
-
-    #[test]
     fn execution_time_sits_between_bfce_and_zoe() {
         // At (0.05, 0.05): 7 frames of ~3400 bit-slots ~ 0.45 s —
         // sub-second but above BFCE's 0.19 s.
-        let mut sys = system_with(100_000);
-        let mut rng = StdRng::seed_from_u64(4);
-        let report =
-            Src::default().estimate(&mut sys, Accuracy::paper_default(), &mut rng);
+        let report = run(100_000, 4, Accuracy::paper_default());
         let secs = report.air.total_seconds();
         assert!((0.2..1.5).contains(&secs), "SRC time = {secs}s");
         // Tag time dominates (few broadcasts) — the opposite of ZOE.
@@ -199,32 +127,22 @@ mod tests {
 
     #[test]
     fn reader_traffic_is_per_round_not_per_slot() {
-        let mut sys = system_with(20_000);
-        let mut rng = StdRng::seed_from_u64(5);
-        let report =
-            Src::default().estimate(&mut sys, Accuracy::paper_default(), &mut rng);
+        let report = run(20_000, 5, Accuracy::paper_default());
         // 1 LOF broadcast + 7 round broadcasts.
         assert_eq!(report.air.reader_messages, 8);
     }
 
     #[test]
     fn loose_delta_runs_one_round() {
-        let mut sys = system_with(20_000);
-        let mut rng = StdRng::seed_from_u64(6);
-        let report =
-            Src::default().estimate(&mut sys, Accuracy::new(0.05, 0.3), &mut rng);
+        let report = run(20_000, 6, Accuracy::new(0.05, 0.3));
         assert_eq!(report.rounds, 2); // 1 LOF + 1 balanced frame
     }
 
     #[test]
-    fn deterministic_per_seed() {
-        let run = |seed| {
-            let mut sys = system_with(30_000);
-            let mut rng = StdRng::seed_from_u64(seed);
-            Src::default()
-                .estimate(&mut sys, Accuracy::paper_default(), &mut rng)
-                .n_hat
-        };
-        assert_eq!(run(7), run(7));
+    fn frame_size_is_capped() {
+        // epsilon = 1e-6 wants ~8e12 slots per frame.
+        let report = run(2_000, 7, Accuracy::new(1e-6, 0.3));
+        assert_eq!(report.air.bitslots, 32 + MAX_FRAME);
+        assert_eq!(report.warnings, ["frame size capped at 1048576"]);
     }
 }

@@ -13,12 +13,12 @@
 //! (16 bits here, per C1G2's RN16), UPE pays ~16x the per-slot cost of the
 //! bit-slot protocols — the generational gap the later schemes close.
 
-use crate::common::{clamped_rho, required_trials, uniform_frame_plan, ZOE_OPTIMAL_LAMBDA};
-use crate::lof::Lof;
-use rand::RngCore;
-use rfid_sim::{
-    Accuracy, CardinalityEstimator, EstimationReport, PhaseReport, RfidSystem,
+use crate::common::{
+    capped, clamped_rho, frame_series, required_trials, uniform_frame_plan, Series,
+    ZOE_OPTIMAL_LAMBDA,
 };
+use rand::RngCore;
+use rfid_sim::{Accuracy, CardinalityEstimator, EstimationReport, RfidSystem};
 use rfid_stats::d_for_delta;
 
 /// Invert the collision fraction: find `lambda` with
@@ -48,18 +48,14 @@ pub fn collision_lambda(collision_frac: f64) -> Option<f64> {
     Some(0.5 * (lo + hi))
 }
 
-/// The UPE estimator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Upe {
-    /// Aloha frame size per round.
-    pub frame: usize,
-}
+/// Aloha frame size per round.
+const FRAME: usize = 1024;
+/// Round cap (ART's): binds only below `epsilon ~ 0.004`.
+const MAX_ROUNDS: u64 = 512;
 
-impl Default for Upe {
-    fn default() -> Self {
-        Self { frame: 1024 }
-    }
-}
+/// The UPE estimator.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Upe;
 
 impl CardinalityEstimator for Upe {
     fn name(&self) -> &'static str {
@@ -72,90 +68,49 @@ impl CardinalityEstimator for Upe {
         accuracy: Accuracy,
         rng: &mut dyn RngCore,
     ) -> EstimationReport {
-        let mut warnings = Vec::new();
-        let start = system.air_time();
-        let f = self.frame;
+        let body = |series: &mut Series<'_>, n_r: f64, warnings: &mut Vec<String>| {
+            let p = (ZOE_OPTIMAL_LAMBDA * FRAME as f64 / n_r).min(1.0);
+            let d = d_for_delta(accuracy.delta);
+            let trials = required_trials(accuracy.epsilon, d, ZOE_OPTIMAL_LAMBDA);
+            let wanted = trials.div_ceil(FRAME as u64);
+            let rounds = capped(wanted, 1, MAX_ROUNDS, "round budget", warnings);
 
-        // Rough estimate to tune the persistence.
-        let n_r = Lof {
-            rounds: 1,
-            frame: 32,
-        }
-        .rough_estimate(system, rng)
-        .max(1.0);
-        let after_rough = system.air_time();
-
-        let p = (ZOE_OPTIMAL_LAMBDA * f as f64 / n_r).min(1.0);
-        let d = d_for_delta(accuracy.delta);
-        let trials = required_trials(accuracy.epsilon, d, ZOE_OPTIMAL_LAMBDA);
-        let rounds = trials.div_ceil(f as u64).max(1);
-
-        let mut empties = 0usize;
-        let mut collisions = 0usize;
-        for _ in 0..rounds {
-            let seed = rng.next_u32();
-            system.turnaround();
-            system.broadcast(64);
-            let frame = system.run_aloha_frame(f, &uniform_frame_plan(seed, f, p));
-            empties += frame.empties();
-            collisions += frame.collisions();
-        }
-        let total = rounds as usize * f;
-        if empties == 0 || empties == total {
-            warnings.push("degenerate UPE observations; rho clamped".into());
-        }
-        let rho = clamped_rho(empties, total);
-        let n_hat = -(f as f64) * rho.ln() / p;
-
-        // Collision cross-check (the "unified" part of UPE).
-        let coll_frac = collisions as f64 / total as f64;
-        match collision_lambda(coll_frac) {
-            Some(l) => {
-                let n_ce = l * f as f64 / p;
-                if n_ce > 0.0 && (n_ce - n_hat).abs() > 0.5 * n_hat.max(1.0) {
-                    warnings.push(format!(
-                        "zero/collision estimators disagree: ZE {n_hat:.0} vs CE {n_ce:.0}"
-                    ));
-                }
+            let (mut empties, mut collisions) = (0, 0);
+            series.run(rounds, |system, seed| {
+                let frame = system.run_aloha_frame(FRAME, &uniform_frame_plan(seed, FRAME, p));
+                empties += frame.empties();
+                collisions += frame.collisions();
+            });
+            let total = rounds as usize * FRAME;
+            if empties == 0 || empties == total {
+                warnings.push("degenerate UPE observations; rho clamped".into());
             }
-            None => warnings.push("collision fraction saturated".into()),
-        }
+            let n_hat = -(FRAME as f64) * clamped_rho(empties, total).ln() / p;
 
-        let end = system.air_time();
-        EstimationReport {
-            n_hat,
-            air: end.since(&start),
-            phases: vec![
-                PhaseReport {
-                    name: "rough (LOF)".into(),
-                    air: after_rough.since(&start),
-                },
-                PhaseReport {
-                    name: format!("aloha frames x{rounds}"),
-                    air: end.since(&after_rough),
-                },
-            ],
-            rounds: 1 + rounds,
-            warnings,
-        }
+            // Collision cross-check (the "unified" part of UPE).
+            match collision_lambda(collisions as f64 / total as f64) {
+                Some(l) => {
+                    let n_ce = l * FRAME as f64 / p;
+                    if n_ce > 0.0 && (n_ce - n_hat).abs() > 0.5 * n_hat.max(1.0) {
+                        warnings.push(format!(
+                            "zero/collision estimators disagree: ZE {n_hat:.0} vs CE {n_ce:.0}"
+                        ));
+                    }
+                }
+                None => warnings.push("collision fraction saturated".into()),
+            }
+            n_hat
+        };
+        frame_series(system, rng, "rough (LOF)", "aloha frames", 64, body)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use rfid_sim::{Tag, TagPopulation};
 
-    fn system_with(n: usize) -> RfidSystem {
-        let tags = (0..n as u64)
-            .map(|i| Tag {
-                id: i * 17 + 9,
-                rn: i as u32,
-            })
-            .collect();
-        RfidSystem::new(TagPopulation::new(tags))
+    fn run(n: usize, seed: u64, accuracy: Accuracy) -> EstimationReport {
+        crate::common::test_estimate(&Upe, n, (17, 9), seed, accuracy)
     }
 
     #[test]
@@ -171,23 +126,8 @@ mod tests {
     }
 
     #[test]
-    fn estimates_are_reasonable() {
-        for (seed, truth) in [(1u64, 5_000usize), (2, 50_000)] {
-            let mut sys = system_with(truth);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let report =
-                Upe::default().estimate(&mut sys, Accuracy::paper_default(), &mut rng);
-            let rel = report.relative_error(truth);
-            assert!(rel < 0.1, "n = {truth}: rel = {rel}");
-        }
-    }
-
-    #[test]
     fn aloha_slots_dominate_cost() {
-        let mut sys = system_with(20_000);
-        let mut rng = StdRng::seed_from_u64(3);
-        let report =
-            Upe::default().estimate(&mut sys, Accuracy::paper_default(), &mut rng);
+        let report = run(20_000, 3, Accuracy::paper_default());
         assert!(report.air.aloha_slots >= 1024);
         // UPE pays dearly for the 16-bit slots: slower than a second.
         assert!(report.air.total_seconds() > 1.0);
@@ -195,13 +135,8 @@ mod tests {
 
     #[test]
     fn rounds_scale_with_epsilon() {
-        let mut sys = system_with(20_000);
-        let mut rng = StdRng::seed_from_u64(4);
-        let tight =
-            Upe::default().estimate(&mut sys, Accuracy::new(0.05, 0.05), &mut rng);
-        sys.reset_ledger();
-        let loose =
-            Upe::default().estimate(&mut sys, Accuracy::new(0.3, 0.05), &mut rng);
+        let tight = run(20_000, 4, Accuracy::new(0.05, 0.05));
+        let loose = run(20_000, 4, Accuracy::new(0.3, 0.05));
         assert!(tight.rounds > loose.rounds);
     }
 }

@@ -35,15 +35,15 @@ pub fn make_estimator(name: &str) -> Option<Box<dyn CardinalityEstimator>> {
     match name.to_ascii_lowercase().as_str() {
         "bfce" => Some(Box::new(Bfce::paper())),
         "zoe" => Some(Box::new(Zoe::default())),
-        "src" => Some(Box::new(Src::default())),
+        "src" => Some(Box::new(Src)),
         "lof" => Some(Box::new(Lof::default())),
-        "upe" => Some(Box::new(Upe::default())),
-        "ezb" => Some(Box::new(Ezb::default())),
-        "fneb" => Some(Box::new(Fneb::default())),
-        "art" => Some(Box::new(Art::default())),
-        "mle" => Some(Box::new(Mle::default())),
+        "upe" => Some(Box::new(Upe)),
+        "ezb" => Some(Box::new(Ezb)),
+        "fneb" => Some(Box::new(Fneb)),
+        "art" => Some(Box::new(Art)),
+        "mle" => Some(Box::new(Mle)),
         "pet" => Some(Box::new(Pet::default())),
-        "a3" => Some(Box::new(A3::default())),
+        "a3" => Some(Box::new(A3)),
         "inventory" => Some(Box::new(QInventory::default())),
         "hllpp" => Some(Box::new(HllPp::default())),
         "llbeta" => Some(Box::new(LogLogBeta::default())),
@@ -577,6 +577,30 @@ mod tests {
         let pooled = capture(|out| estimate(&mk(3), out));
         assert_eq!(lone, pooled);
         assert!(lone.contains("summary : 3 trials"));
+    }
+
+    #[test]
+    fn estimate_caps_the_budget_of_tight_requests() {
+        // Uncapped, SRC's frame at epsilon = 1e-6 would need ~8e12 slots
+        // and UPE/EZB would run for minutes to hours of air time.
+        for (estimator, epsilon, warning) in [
+            ("src", 1e-6, "frame size capped at 1048576"),
+            ("upe", 1e-4, "round budget capped at 512"),
+            ("ezb", 1e-6, "round budget capped at 512"),
+        ] {
+            let opts = EstimateOpts {
+                n: 2_000,
+                estimator: estimator.into(),
+                epsilon,
+                jobs: 1,
+                ..EstimateOpts::default()
+            };
+            let s = capture(|out| estimate(&opts, out));
+            assert!(
+                s.contains(&format!("warning: {warning}")),
+                "{estimator} at epsilon {epsilon}:\n{s}"
+            );
+        }
     }
 
     #[test]

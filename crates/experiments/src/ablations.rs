@@ -278,7 +278,7 @@ pub fn run_link_sweep(scale: Scale, seed: u64) -> Table {
     );
     let bfce = Bfce::paper();
     let zoe = rfid_baselines::Zoe::default();
-    let src = rfid_baselines::Src::default();
+    let src = rfid_baselines::Src;
     for (name, link) in profiles {
         let timing = Timing::from_link(&link);
         let mut row = vec![name.to_string()];

@@ -31,7 +31,7 @@ fn contenders() -> Vec<Box<dyn CardinalityEstimator>> {
     vec![
         Box::new(Bfce::paper()),
         Box::new(Zoe::default()),
-        Box::new(Src::default()),
+        Box::new(Src),
     ]
 }
 

@@ -33,7 +33,7 @@ pub fn run(sweep: Sweep, scale: Scale, seed: u64) -> Table {
     );
     let bfce = Bfce::paper();
     let zoe = Zoe::default();
-    let src = Src::default();
+    let src = Src;
     let mut ratio_zoe = Vec::new();
     let mut ratio_src = Vec::new();
     let mut worst_bfce = 0.0f64;
@@ -77,7 +77,7 @@ pub fn contender_names() -> [&'static str; 3] {
     [
         Bfce::paper().name(),
         Zoe::default().name(),
-        Src::default().name(),
+        Src.name(),
     ]
 }
 

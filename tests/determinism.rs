@@ -3,13 +3,16 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rfid_bfce_repro::baselines::{Art, Fneb, Mle, Pet, Src, Upe, Zoe};
 use rfid_bfce_repro::prelude::*;
 use rfid_bfce_repro::sim::CardinalityEstimator;
+use rfid_cli::commands::all_estimators;
+
+/// Population size of [`estimate_with`].
+const N: usize = 25_000;
 
 fn estimate_with(est: &dyn CardinalityEstimator, seed: u64) -> (f64, f64) {
     let mut world = StdRng::seed_from_u64(seed);
-    let population = WorkloadSpec::T2.generate(25_000, &mut world);
+    let population = WorkloadSpec::T2.generate(N, &mut world);
     let mut system = RfidSystem::new(population);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
     let report = est.estimate(&mut system, Accuracy::new(0.1, 0.1), &mut rng);
@@ -18,23 +21,15 @@ fn estimate_with(est: &dyn CardinalityEstimator, seed: u64) -> (f64, f64) {
 
 #[test]
 fn every_estimator_replays_exactly_per_seed() {
-    let estimators: Vec<Box<dyn CardinalityEstimator>> = vec![
-        Box::new(Bfce::paper()),
-        Box::new(Lof::default()),
-        Box::new(Zoe::default()),
-        Box::new(Src::default()),
-        Box::new(Upe::default()),
-        Box::new(Fneb::default()),
-        Box::new(Art::default()),
-        Box::new(Mle::default()),
-        Box::new(Pet::default()),
-    ];
-    for est in &estimators {
+    for est in all_estimators() {
         let a = estimate_with(est.as_ref(), 42);
         let b = estimate_with(est.as_ref(), 42);
         assert_eq!(a, b, "{} not reproducible", est.name());
         let c = estimate_with(est.as_ref(), 43);
-        assert_ne!(a.0, c.0, "{} ignores the seed", est.name());
+        // An exact count (Q-inventory) does not move with the seed; the
+        // air time its collisions cost does.
+        let moved = if a.0 == N as f64 { a.1 != c.1 } else { a.0 != c.0 };
+        assert!(moved, "{} ignores the seed", est.name());
     }
 }
 
@@ -79,7 +74,7 @@ fn two_run_audit_bfce_zoe_src_outcomes_are_bitwise_identical() {
     let estimators: Vec<Box<dyn CardinalityEstimator>> = vec![
         Box::new(Bfce::paper()),
         Box::new(Zoe::default()),
-        Box::new(Src::default()),
+        Box::new(Src),
     ];
     for est in &estimators {
         let outcome = |jobs: usize| {

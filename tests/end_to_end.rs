@@ -38,8 +38,8 @@ fn estimators_compose_through_the_trait_object() {
     let estimators: Vec<Box<dyn CardinalityEstimator>> = vec![
         Box::new(Bfce::paper()),
         Box::new(Zoe::default()),
-        Box::new(Src::default()),
-        Box::new(Ezb::default()),
+        Box::new(Src),
+        Box::new(Ezb),
     ];
     let truth = 30_000usize;
     for est in estimators {
@@ -104,15 +104,15 @@ fn workspace_types_cover_the_registry() {
     let concrete: Vec<(&str, Box<dyn CardinalityEstimator>)> = vec![
         ("bfce", Box::new(Bfce::paper())),
         ("zoe", Box::new(Zoe::default())),
-        ("src", Box::new(Src::default())),
+        ("src", Box::new(Src)),
         ("lof", Box::new(Lof::default())),
-        ("upe", Box::new(Upe::default())),
-        ("ezb", Box::new(Ezb::default())),
-        ("fneb", Box::new(Fneb::default())),
-        ("art", Box::new(Art::default())),
-        ("mle", Box::new(Mle::default())),
+        ("upe", Box::new(Upe)),
+        ("ezb", Box::new(Ezb)),
+        ("fneb", Box::new(Fneb)),
+        ("art", Box::new(Art)),
+        ("mle", Box::new(Mle)),
         ("pet", Box::new(Pet::default())),
-        ("a3", Box::new(A3::default())),
+        ("a3", Box::new(A3)),
         ("inventory", Box::new(QInventory::default())),
         ("hllpp", Box::new(HllPp::default())),
         ("llbeta", Box::new(LogLogBeta::default())),
