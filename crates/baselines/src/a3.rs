@@ -72,6 +72,7 @@ impl CardinalityEstimator for A3 {
                 // Combined relative variance of the weighted mean.
                 1.0 / weight_sum <= target_var
             });
+            // Warn when the series used its whole budget.
             capped(rounds, 1, MAX_ROUNDS, "round budget", warnings);
             n_hat
         };

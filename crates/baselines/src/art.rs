@@ -28,10 +28,21 @@ pub struct Art;
 
 /// Count the maximal busy runs in a frame and their total length.
 pub fn busy_runs(frame: &BitFrame) -> (usize, usize) {
-    let busy = |i: usize| frame.is_busy(i);
-    let starts = (0..frame.observed()).filter(|&i| busy(i) && (i == 0 || !busy(i - 1)));
-    let total = (0..frame.observed()).filter(|&i| busy(i)).count();
-    (starts.count(), total)
+    let mut runs = 0usize;
+    let mut total = 0usize;
+    let mut in_run = false;
+    for i in 0..frame.observed() {
+        if frame.is_busy(i) {
+            if !in_run {
+                runs += 1;
+                in_run = true;
+            }
+            total += 1;
+        } else {
+            in_run = false;
+        }
+    }
+    (runs, total)
 }
 
 impl CardinalityEstimator for Art {

@@ -141,16 +141,10 @@ pub fn clamped_rho(idle: usize, total: usize) -> f64 {
     idle / total as f64
 }
 
-/// Clamp a `wanted` budget to `[min, cap]`, warning "`{what}` capped at
+/// Clamp the budget `want` to `[min, cap]`, warning "`{what}` capped at
 /// `{cap}`" when the count used equals the cap.
-pub(crate) fn capped(
-    wanted: u64,
-    min: u64,
-    cap: u64,
-    what: &str,
-    warnings: &mut Vec<String>,
-) -> u64 {
-    let used = wanted.clamp(min, cap);
+pub(crate) fn capped(want: u64, min: u64, cap: u64, what: &str, warnings: &mut Vec<String>) -> u64 {
+    let used = want.clamp(min, cap);
     if used == cap {
         warnings.push(format!("{what} capped at {cap}"));
     }

@@ -53,7 +53,10 @@ fn score(observations: &[FrameObservation], n: f64) -> f64 {
 pub fn mle_solve(observations: &[FrameObservation], n_max: f64) -> Option<f64> {
     assert!(!observations.is_empty(), "no observations");
     assert!(n_max > 1.0, "n_max must exceed 1");
-    if observations.iter().all(|o| o.busy == 0) || observations.iter().all(|o| o.busy == o.f) {
+    if observations.iter().all(|o| o.busy == 0) {
+        return None;
+    }
+    if observations.iter().all(|o| o.busy == o.f) {
         return None;
     }
     let (mut lo, mut hi) = (1e-9, n_max);

@@ -137,12 +137,4 @@ mod tests {
         let report = run(20_000, 6, Accuracy::new(0.05, 0.3));
         assert_eq!(report.rounds, 2); // 1 LOF + 1 balanced frame
     }
-
-    #[test]
-    fn frame_size_is_capped() {
-        // epsilon = 1e-6 wants ~8e12 slots per frame.
-        let report = run(2_000, 7, Accuracy::new(1e-6, 0.3));
-        assert_eq!(report.air.bitslots, 32 + MAX_FRAME);
-        assert_eq!(report.warnings, ["frame size capped at 1048576"]);
-    }
 }

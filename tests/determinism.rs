@@ -28,7 +28,11 @@ fn every_estimator_replays_exactly_per_seed() {
         let c = estimate_with(est.as_ref(), 43);
         // An exact count (Q-inventory) does not move with the seed; the
         // air time its collisions cost does.
-        let moved = if a.0 == N as f64 { a.1 != c.1 } else { a.0 != c.0 };
+        let moved = if a.0 == N as f64 {
+            a.1 != c.1
+        } else {
+            a.0 != c.0
+        };
         assert!(moved, "{} ignores the seed", est.name());
     }
 }
