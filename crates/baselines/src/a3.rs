@@ -55,13 +55,12 @@ impl CardinalityEstimator for A3 {
             let target_var = (accuracy.epsilon / d).powi(2);
             let mut n_hat = n_r;
             let (mut weight_sum, mut weighted_estimate) = (0.0f64, 0.0f64);
+            let mut degenerate = 0u64;
             let rounds = series.run_until(MAX_ROUNDS, |system, seed| {
                 let p = (ZOE_OPTIMAL_LAMBDA * FRAME as f64 / n_hat).min(1.0);
                 let frame = system.run_bitslot_frame(FRAME, &uniform_frame_plan(seed, FRAME, p));
                 let idle = frame.idle_count();
-                if idle == 0 || idle == FRAME {
-                    warnings.push("degenerate A3 frame; rho clamped".into());
-                }
+                degenerate += u64::from(idle == 0 || idle == FRAME);
                 let rho = clamped_rho(idle, FRAME);
                 let round_estimate = -(FRAME as f64) * rho.ln() / p;
                 let lambda_realized = (-rho.ln()).max(1e-6);
@@ -72,6 +71,11 @@ impl CardinalityEstimator for A3 {
                 // Combined relative variance of the weighted mean.
                 1.0 / weight_sum <= target_var
             });
+            if degenerate > 0 {
+                warnings.push(format!(
+                    "degenerate A3 frame in {degenerate} of {rounds} rounds; rho clamped"
+                ));
+            }
             // Warn when the series used its whole budget.
             capped(rounds, 1, MAX_ROUNDS, "round budget", warnings);
             n_hat
@@ -113,5 +117,19 @@ mod tests {
         let report = run(200_000, 5, Accuracy::new(0.02, 0.05));
         assert!(report.relative_error(200_000) < 0.025);
         assert!(report.warnings.iter().all(|w| !w.contains("capped")));
+    }
+
+    #[test]
+    fn an_empty_population_warns_once_with_the_count() {
+        // Every round of an empty population is degenerate, and the
+        // stopping rule never fires: one count, then the cap.
+        let report = run(0, 3, Accuracy::paper_default());
+        assert_eq!(
+            report.warnings,
+            [
+                "degenerate A3 frame in 512 of 512 rounds; rho clamped",
+                "round budget capped at 512"
+            ]
+        );
     }
 }

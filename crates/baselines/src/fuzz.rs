@@ -93,7 +93,7 @@ pub fn fill_kernels_diff(data: &[u8]) {
         check_plan(&tags, w, observe, threads, &BloomPlan::new(&cfg, &seeds, p_n));
         // XorBitget also fills from the rn column, visiting the key runs
         // that respond to each seed and, in a frame observed in part, only
-        // their sub-buckets that reach the prefix.
+        // their `rn`s whose slots lie in the prefix.
         let mut pow2_cfg = cfg;
         pow2_cfg.hasher = HasherKind::XorBitget;
         pow2_cfg.w = w.next_power_of_two();
@@ -184,12 +184,8 @@ fn check_plan<P: ResponsePlan>(tags: &[Tag], w: usize, observe: usize, threads: 
         reference, batched,
         "batched fill_chunk counts diverge from the scalar reference"
     );
-    let prefix_truth: u64 = reference
-        .iter()
-        .take(observe)
-        .map(|&c| u64::from(c))
-        .sum();
-    let check = |fill: FrameFill, path: &str| {
+    let check = |fill: FrameFill, observe: usize, path: &str| {
+        let prefix_truth: u64 = reference.iter().take(observe).map(|&c| u64::from(c)).sum();
         // analysis:allow(panic-path): fuzz oracle — the panic is the crash report
         assert_eq!(
             fill.busy.len(),
@@ -218,11 +214,26 @@ fn check_plan<P: ResponsePlan>(tags: &[Tag], w: usize, observe: usize, threads: 
         (FillDispatch::Scalar, 1),
     ] {
         let fill = response_fill_dispatched(tags, w, observe, plan, mode, min_chunk);
-        check(fill, &format!("{mode:?}"));
+        check(fill, observe, &format!("{mode:?}"));
     }
     if plan.rn_column_width() == Some(w) {
-        let column = RnColumn::new(tags, w);
-        check(response_fill_column(&column, w, observe, plan), "rn column");
+        // A prefix read slot-orders the buckets it reaches into; the same
+        // column read again, in full or at the prefix, must still meet the
+        // reference.
+        let second_reads = [w, observe];
+        for again in second_reads {
+            let mut column = RnColumn::new(tags, w);
+            check(
+                response_fill_column(&mut column, w, observe, plan),
+                observe,
+                "rn column",
+            );
+            check(
+                response_fill_column(&mut column, w, again, plan),
+                again,
+                "rn column, read again",
+            );
+        }
     }
 }
 

@@ -76,14 +76,18 @@ impl CardinalityEstimator for Src {
             let m = self.rounds_for(accuracy.delta);
             let p = (ZOE_OPTIMAL_LAMBDA * s as f64 / n_r).min(1.0);
             let mut estimates = Vec::with_capacity(m as usize);
+            let mut degenerate = 0u64;
             series.run(m, |system, seed| {
                 let frame = system.run_bitslot_frame(s, &uniform_frame_plan(seed, s, p));
                 let idle = frame.idle_count();
-                if idle == 0 || idle == s {
-                    warnings.push("degenerate SRC frame; rho clamped".into());
-                }
+                degenerate += u64::from(idle == 0 || idle == s);
                 estimates.push(-(s as f64) * clamped_rho(idle, s).ln() / p);
             });
+            if degenerate > 0 {
+                warnings.push(format!(
+                    "degenerate SRC frame in {degenerate} of {m} rounds; rho clamped"
+                ));
+            }
             median(&mut estimates)
         };
         frame_series(system, rng, "rough (LOF)", "balanced frames", 64, body)
@@ -136,5 +140,14 @@ mod tests {
     fn loose_delta_runs_one_round() {
         let report = run(20_000, 6, Accuracy::new(0.05, 0.3));
         assert_eq!(report.rounds, 2); // 1 LOF + 1 balanced frame
+    }
+
+    #[test]
+    fn an_empty_population_warns_once_with_the_count() {
+        let report = run(0, 7, Accuracy::paper_default());
+        assert_eq!(
+            report.warnings,
+            ["degenerate SRC frame in 7 of 7 rounds; rho clamped"]
+        );
     }
 }

@@ -103,11 +103,11 @@ impl ResponsePlan for BloomPlan<'_> {
         (self.cfg.hasher == HasherKind::XorBitget && w <= RnColumn::MAX_WIDTH).then_some(w)
     }
 
-    fn fill_column(&self, column: &RnColumn, sink: &mut SlotSink<'_>) {
+    fn fill_column(&self, column: &mut RnColumn, sink: &mut SlotSink<'_>) {
         // Under seed `s` exactly the tags whose keys lie in the aligned key
         // runs of `σ ⊕ [0, p_n)` respond, each in slot `(rn ^ s) & (w − 1)`,
         // which reads only the low bits the column keeps. The sink reads
-        // only the sub-buckets of a run that can reach the observed prefix.
+        // only the `rn`s of a run whose slots lie in the observed prefix.
         for &seed in self.seeds {
             for (first, len) in key_runs(persistence_offset(seed), self.p_n) {
                 sink.record_column_keys(column, first, len, seed as usize);
@@ -442,7 +442,7 @@ mod tests {
                 rn: (i as u32).wrapping_mul(0x9E37_79B9).wrapping_add(17),
             })
             .collect();
-        let column = RnColumn::new(&tags, BfceConfig::paper().w);
+        let mut column = RnColumn::new(&tags, BfceConfig::paper().w);
         for hasher in [
             crate::params::HasherKind::XorBitget,
             crate::params::HasherKind::Mix64,
@@ -485,7 +485,10 @@ mod tests {
                         if by_column {
                             check(
                                 rfid_sim::frame::response_fill_column(
-                                    &column, cfg.w, observe, &plan,
+                                    &mut column,
+                                    cfg.w,
+                                    observe,
+                                    &plan,
                                 ),
                                 "column",
                             );
@@ -506,8 +509,8 @@ mod tests {
             if by_column {
                 let reference =
                     rfid_sim::frame::response_counts_reference(&tags, w, &plan, usize::MAX);
-                let column = RnColumn::new(&tags, w);
-                let fill = rfid_sim::frame::response_fill_column(&column, w, w, &plan);
+                let mut column = RnColumn::new(&tags, w);
+                let fill = rfid_sim::frame::response_fill_column(&mut column, w, w, &plan);
                 for (i, &c) in reference.iter().enumerate() {
                     assert_eq!(fill.busy.get(i), c > 0, "w {w}: slot {i}");
                 }
@@ -533,7 +536,7 @@ mod tests {
             .collect();
         let mut draws = rfid_hash::SplitMix64::new(0x5EED_0024);
         for w in [1usize, 2, 4, 8, 16, 1024, 8192, 65536] {
-            let column = RnColumn::new(&tags, w);
+            let mut column = RnColumn::new(&tags, w);
             let shift = w.trailing_zeros().saturating_sub(3);
             let top = (w - 1) & !((1usize << shift) - 1);
             let seeds: Vec<u32> = (0..8u32)
@@ -565,7 +568,7 @@ mod tests {
                             &tags, w, observe, &plan, 1,
                         );
                         let by_column =
-                            rfid_sim::frame::response_fill_column(&column, w, observe, &plan);
+                            rfid_sim::frame::response_fill_column(&mut column, w, observe, &plan);
                         assert_eq!(by_column, per_tag, "{at}");
                         // About 1 176 of the tags respond to each seed at
                         // p_n = 301: an eighth of the frame hears some.

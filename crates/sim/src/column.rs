@@ -22,6 +22,16 @@
 //! so a fill reads only the sub-buckets whose slots can reach the prefix
 //! ([`RnColumn::prefix_runs`]): the simulator's version of a Gen2 Select
 //! mask. The sub-buckets depend on `w`, so a column serves one width.
+//!
+//! A prefix that ends inside a sub-bucket (the probe's 32 of 8 192 slots
+//! lie in one 1 024-slot sub-bucket) needs the slot bits below it too.
+//! The first such read of a bucket sorts it in place by those bits,
+//! `rn & (2^(m − 3) − 1)`, and marks it slot-ordered; in a sorted bucket
+//! the slots of an aligned power-of-two window under any seed are one
+//! contiguous range, found by a short scan from where uniform slots put
+//! it. The column is built
+//! unsorted and orders only the buckets such reads touch, so a fresh
+//! population pays for the few its probe reads, not for all 8 192.
 
 use crate::tag::Tag;
 use rfid_hash::persistence::PERSISTENCE_DENOMINATOR;
@@ -34,11 +44,15 @@ pub const KEYS: usize = PERSISTENCE_DENOMINATOR as usize;
 /// `(persistence key, sub-bucket)` for one frame width `w`, with
 /// `KEYS · s + 1` bucket offsets for `s` sub-buckets a key: the `rn`s of
 /// key `K` are one contiguous slice ([`keys`](Self::keys)), ordered by
-/// sub-bucket.
+/// sub-bucket. Within a bucket the order is the build's until a prefix
+/// read slot-orders it ([`prefix_runs`](Self::prefix_runs)).
 #[derive(Debug, Clone)]
 pub struct RnColumn {
     rns: Vec<u16>,
     offsets: Vec<u32>,
+    /// One bit per bucket, set once its `rn`s are sorted by their slot
+    /// bits below the sub-bucket bits, `rn & ((1 << shift) − 1)`.
+    ordered: Vec<u64>,
     width: usize,
     /// Slot bits below the sub-bucket bits: `m − 3`, or 0 when `w < 8`.
     shift: u32,
@@ -104,6 +118,7 @@ impl RnColumn {
         Self {
             rns,
             offsets,
+            ordered: vec![0; (KEYS * subs).div_ceil(64)],
             width: w,
             shift,
             subs,
@@ -145,15 +160,38 @@ impl RnColumn {
         self.buckets(start * self.subs, end * self.subs)
     }
 
+    /// The `rn`s of bucket `b`, sorted in place by their slot bits below
+    /// the sub-bucket bits the first time they are asked for.
+    fn slot_ordered(&mut self, b: usize) -> &[u16] {
+        let offset = |b: usize| self.offsets.get(b).map_or(0, |&o| o as usize);
+        let range = offset(b)..offset(b + 1);
+        let Some(bucket) = self.rns.get_mut(range) else {
+            return &[];
+        };
+        if let Some(word) = self.ordered.get_mut(b / 64) {
+            let bit = 1u64 << (b % 64);
+            if *word & bit == 0 {
+                let low = (1usize << self.shift) - 1;
+                bucket.sort_unstable_by_key(|&rn| usize::from(rn) & low);
+                *word |= bit;
+            }
+        }
+        bucket
+    }
+
     /// Hand `run` the low `rn` bits of the `count` keys starting at
     /// `first` (clamped as in [`keys`](Self::keys)) whose slot
-    /// `(rn ^ xor) & (w − 1)` can lie below `observe`: one slice per key
-    /// and sub-bucket that reaches the prefix, or the whole
-    /// [`keys`](Self::keys) slice when every sub-bucket does. The slices
-    /// skip only `rn`s whose slots all lie at or past `observe`.
+    /// `(rn ^ xor) & (w − 1)` lies below `observe`, in slices that hold
+    /// exactly those `rn`s: the whole [`keys`](Self::keys) slice when
+    /// `observe = w`, else per key each sub-bucket wholly inside the
+    /// prefix, plus, when the prefix ends inside a sub-bucket, one range
+    /// of that slot-ordered bucket per set bit of the remainder (one
+    /// range for a power-of-two remainder). The first such read of a
+    /// bucket sorts it, so the column is borrowed mutably; the multiset
+    /// of `rn`s in every bucket never changes.
     #[inline]
     pub fn prefix_runs(
-        &self,
+        &mut self,
         first: usize,
         count: usize,
         xor: usize,
@@ -161,18 +199,56 @@ impl RnColumn {
         mut run: impl FnMut(&[u16]),
     ) {
         // With `t` the top slot bits of `xor`, the slots of sub-bucket `h`
-        // are `[(h ^ t) << shift, ((h ^ t) + 1) << shift)`: it reaches the
-        // prefix iff `h ^ t < reach`.
-        let reach = observe.div_ceil(1 << self.shift);
-        if reach >= self.subs {
+        // are `[(h ^ t) << shift, ((h ^ t) + 1) << shift)`: the first
+        // `whole` values of `h ^ t` lie wholly in the prefix, and `part`
+        // slots of the next one.
+        let span = 1usize << self.shift;
+        let (whole, part) = (observe >> self.shift, observe & (span - 1));
+        if whole >= self.subs {
             run(self.keys(first, count));
             return;
         }
         let t = (xor >> self.shift) & (self.subs - 1);
+        let low = xor & (span - 1);
         for key in first..first.saturating_add(count).min(KEYS) {
-            for j in 0..reach {
+            for j in 0..whole {
                 let b = key * self.subs + (j ^ t);
                 run(self.buckets(b, b + 1));
+            }
+            if part == 0 {
+                continue;
+            }
+            // The in-prefix slots of the partial sub-bucket, by their low
+            // bits `(rn ^ low) & (span − 1)`, are `[0, part)`: for each set
+            // bit `i` of `part` the aligned block of `2^i` slots from
+            // `part` with bits `0..=i` cleared. The `rn`s landing in it
+            // have `(rn & (span − 1)) >> i` equal to `(base ^ low) >> i`,
+            // one range of the slot-ordered bucket. Slot bits are about
+            // uniform, so the range starts near `len · target / blocks`;
+            // its ends are found by scanning from there, one or two cache
+            // lines where a binary search waits on a chain of them, and
+            // at worst the bucket, what an unordered read costs.
+            let shift = self.shift;
+            let rns = self.slot_ordered(key * self.subs + (whole ^ t));
+            let mut bits = part;
+            while bits != 0 {
+                let i = bits.trailing_zeros();
+                bits &= bits - 1;
+                let base = part & !((2usize << i) - 1);
+                let target = (base ^ low) >> i;
+                let block = |at: usize| rns.get(at).map(|&rn| (usize::from(rn) & (span - 1)) >> i);
+                let mut start = (rns.len() * target) >> (shift - i);
+                while start > 0 && block(start - 1).is_some_and(|b| b >= target) {
+                    start -= 1;
+                }
+                while block(start).is_some_and(|b| b < target) {
+                    start += 1;
+                }
+                let mut end = start;
+                while block(end) == Some(target) {
+                    end += 1;
+                }
+                run(rns.get(start..end).unwrap_or(&[]));
             }
         }
     }
@@ -238,7 +314,7 @@ mod tests {
             .collect();
         let tags = tags(&rns);
         for w in [1usize, 4, 16, 8192] {
-            let column = RnColumn::new(&tags, w);
+            let mut column = RnColumn::new(&tags, w);
             for xor in (0..8).map(|t| t * (w / 8).max(1) + 3) {
                 for observe in [0usize, 1, w / 8, w / 8 + 1, w / 2, w] {
                     let slot = |rn: u16| (usize::from(rn) ^ xor) & (w - 1);
@@ -247,21 +323,75 @@ mod tests {
                     let all = column.keys(100, 50);
                     let count = |rns: &[u16]| rns.iter().filter(|&&rn| slot(rn) < observe).count();
                     let at = format!("w {w}, xor {xor}, observe {observe}");
-                    assert_eq!(count(&got), count(all), "{at}");
-                    assert!(got.len() <= all.len(), "{at}");
-                    // A prefix that ends on a sub-bucket boundary reads
+                    // Every prefix, on a sub-bucket boundary or not, reads
                     // exactly the `rn`s below it.
-                    if observe % (w / 8).max(1) == 0 {
-                        assert_eq!(got.len(), count(all), "{at}");
-                    }
+                    assert_eq!(count(&got), count(all), "{at}");
+                    assert_eq!(got.len(), count(all), "{at}");
                 }
             }
         }
     }
 
     #[test]
+    fn prefix_windows_hand_over_exactly_their_rns() {
+        // Every power-of-two prefix up to `w` and a few others, under
+        // random seeds, on a fresh column and again once every bucket of
+        // the keys read is slot-ordered: the slices hold exactly the `rn`s
+        // whose slot lies below the prefix, and no bucket's multiset moves.
+        rfid_check::check("prefix_windows", 48, |g| {
+            let w = g.pick(&[1usize, 8, 16, 8192, RnColumn::MAX_WIDTH]);
+            let rns = g.vec(0..100_000, |g| g.u32());
+            let fresh = RnColumn::new(&tags(&rns), w);
+            let mut column = fresh.clone();
+            let (first, count) = (g.range(0..KEYS), g.range(1..=16usize));
+            let mut observes: Vec<usize> = (0..=w.trailing_zeros()).map(|i| 1 << i).collect();
+            observes.extend((0..4).map(|_| g.range(0..=w)));
+            let multiset = |column: &RnColumn, b: usize| {
+                let mut rns = column.buckets(b, b + 1).to_vec();
+                rns.sort_unstable();
+                rns
+            };
+            for pass in ["fresh", "slot-ordered"] {
+                for &observe in &observes {
+                    let xor = g.u32() as usize;
+                    let slot = |rn: u16| (usize::from(rn) ^ xor) & (w - 1);
+                    let mut got = Vec::new();
+                    column
+                        .prefix_runs(first, count, xor, observe, |rns| got.extend_from_slice(rns));
+                    let mut want: Vec<u16> = fresh
+                        .keys(first, count)
+                        .iter()
+                        .copied()
+                        .filter(|&rn| slot(rn) < observe)
+                        .collect();
+                    got.sort_unstable();
+                    want.sort_unstable();
+                    assert_eq!(got, want, "{pass}: w {w}, xor {xor:#x}, observe {observe}");
+                }
+                // A one-slot prefix under every top-bits value slot-orders
+                // each bucket of the keys read.
+                for t in 0..column.subs {
+                    column.prefix_runs(first, count, t << column.shift, 1, |_| {});
+                }
+                if column.shift > 0 {
+                    let end = (first + count).min(KEYS) * column.subs;
+                    let bit = |b: usize| column.ordered[b / 64] >> (b % 64) & 1;
+                    assert!((first * column.subs..end).all(|b| bit(b) == 1), "w {w}");
+                }
+            }
+            for b in 0..KEYS * column.subs {
+                assert_eq!(
+                    multiset(&column, b),
+                    multiset(&fresh, b),
+                    "w {w}, bucket {b}"
+                );
+            }
+        });
+    }
+
+    #[test]
     fn runs_past_the_last_key_are_clamped() {
-        let column = RnColumn::new(&tags(&(0..3_000).collect::<Vec<u32>>()), 8192);
+        let mut column = RnColumn::new(&tags(&(0..3_000).collect::<Vec<u32>>()), 8192);
         assert_eq!(column.keys(KEYS - 1, 10), column.keys(KEYS - 1, 1));
         assert!(column.keys(KEYS, 1).is_empty());
         assert!(column.keys(usize::MAX, usize::MAX).is_empty());

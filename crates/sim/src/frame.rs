@@ -193,14 +193,14 @@ impl<'a> SlotSink<'a> {
     /// Record one tag response in slot `(rn ^ xor) & (w − 1)` for every
     /// `rn` of the `count` keys of `column` starting at `first`: one key
     /// run of a column fill ([`ResponsePlan::fill_column`]). Reads only
-    /// the sub-buckets whose slots can reach the observed prefix
-    /// ([`RnColumn::prefix_runs`]), with one
-    /// [`record_column_run`](Self::record_column_run) per slice. Panics
-    /// unless the column was built for this sink's width.
+    /// the `rn`s whose slots lie in the observed prefix
+    /// ([`RnColumn::prefix_runs`], which may slot-order the buckets it
+    /// reads), with one [`record_column_run`](Self::record_column_run) per
+    /// slice. Panics unless the column was built for this sink's width.
     #[inline]
     pub fn record_column_keys(
         &mut self,
-        column: &RnColumn,
+        column: &mut RnColumn,
         first: usize,
         count: usize,
         xor: usize,
@@ -294,13 +294,14 @@ pub trait ResponsePlan: Sync {
     /// Record every response of the population bucketed in `column` into
     /// `sink`: the same multiset as [`fill_chunk`](Self::fill_chunk) over
     /// the whole population in the slots below [`SlotSink::observe`],
-    /// visiting whichever key buckets and sub-buckets respond there (see
-    /// [`RnColumn::prefix_runs`]). Only called through
+    /// visiting whichever key buckets and slot ranges respond there (see
+    /// [`RnColumn::prefix_runs`]). The column is mutable because a read
+    /// may slot-order a bucket in place. Only called through
     /// [`response_fill_column`], which requires
     /// [`rn_column_width`](Self::rn_column_width) and the column's width
     /// to be the frame's; the default, for plans that declare none,
     /// records nothing.
-    fn fill_column(&self, _column: &RnColumn, _sink: &mut SlotSink<'_>) {}
+    fn fill_column(&self, _column: &mut RnColumn, _sink: &mut SlotSink<'_>) {}
 }
 
 /// Adapter pinning a plan to its scalar `responses()` path.
@@ -555,12 +556,13 @@ pub fn response_fills_with_threads<P: ResponsePlan>(
 /// buckets whose tags respond.
 ///
 /// Bitwise identical to [`response_fill`] over the tags the column was
-/// built from, since sink accumulation is order-free. Panics unless the
-/// plan declares the frame's width
+/// built from, since sink accumulation is order-free; the fill may
+/// slot-order buckets of the column, which changes no later fill. Panics
+/// unless the plan declares the frame's width
 /// ([`rn_column_width`](ResponsePlan::rn_column_width)), the column was
 /// built for it, and `observe <= w`.
 pub fn response_fill_column<P: ResponsePlan>(
-    column: &RnColumn,
+    column: &mut RnColumn,
     w: usize,
     observe: usize,
     plan: &P,

@@ -238,8 +238,9 @@ impl RfidSystem {
     /// is filled from the population's [`RnColumn`] instead, built on
     /// first use. The column's sub-buckets are cut for one width, so a
     /// frame of another width rebuilds it; the population never changes,
-    /// so nothing else invalidates it. Dropout survivors stay on the `Tag`
-    /// slice.
+    /// so nothing else invalidates it. Prefix frames slot-order the
+    /// buckets they read in place, so the cached column keeps that order
+    /// for the next frame. Dropout survivors stay on the `Tag` slice.
     fn bitslot_truth<P: ResponsePlan>(
         &mut self,
         w: usize,
@@ -287,14 +288,14 @@ impl RfidSystem {
             _ => {
                 let tags = self.population.tags();
                 if plan.rn_column_width() == Some(w) && dp == FillDispatch::Batched {
-                    let column = match self.column.take() {
+                    let mut column = match self.column.take() {
                         Some(column) if column.width() == w => column,
                         stale => {
                             drop(stale);
                             RnColumn::new(tags, w)
                         }
                     };
-                    let fill = response_fill_column(&column, w, observe, plan);
+                    let fill = response_fill_column(&mut column, w, observe, plan);
                     self.column = Some(column);
                     fill
                 } else {
@@ -789,7 +790,7 @@ mod tests {
             Some(self.0)
         }
 
-        fn fill_column(&self, column: &RnColumn, sink: &mut crate::frame::SlotSink<'_>) {
+        fn fill_column(&self, column: &mut RnColumn, sink: &mut crate::frame::SlotSink<'_>) {
             for &rn in column.keys(0, crate::column::KEYS) {
                 sink.record(rn as usize % 8 + 8);
             }
@@ -853,7 +854,7 @@ mod tests {
             Some(self.w)
         }
 
-        fn fill_column(&self, column: &RnColumn, sink: &mut crate::frame::SlotSink<'_>) {
+        fn fill_column(&self, column: &mut RnColumn, sink: &mut crate::frame::SlotSink<'_>) {
             let sigma = rfid_hash::persistence_offset(self.seed);
             for (first, len) in rfid_hash::key_runs(sigma, self.p_n) {
                 sink.record_column_keys(column, first, len, self.seed as usize);
@@ -901,8 +902,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "the rn column was built for 16-slot frames, not 32")]
     fn a_column_of_another_width_is_rejected() {
-        let column = RnColumn::new(small_system(10).population().tags(), 16);
-        response_fill_column(&column, 32, 32, &ColumnMarked(32));
+        let mut column = RnColumn::new(small_system(10).population().tags(), 16);
+        response_fill_column(&mut column, 32, 32, &ColumnMarked(32));
     }
 
     #[test]

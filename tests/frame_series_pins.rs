@@ -143,10 +143,10 @@ const PINNED: [(&str, [u64; 19]); 7] = [
         7170242318946603425, 15203753376164142867, 889596471284748889,
     ]),
     ("a3", [
-        9036490545271185677, 9036490545271185677, 15523622986094523201, 6186878744557397351,
-        17224336814661114858, 15718900170638938431, 9036490545271185677, 9036490545271185677,
+        17184487211593533003, 17184487211593533003, 15523622986094523201, 6186878744557397351,
+        17224336814661114858, 15718900170638938431, 17184487211593533003, 17184487211593533003,
         7674341436192584980, 531844959943270952, 18211254590311826942, 7305934127647587757,
-        7112060622141193749, 11861387985195546875, 1818377812920230045, 10390316609850037221,
+        7112060622141193749, 11861387985195546875, 7238505350152420948, 10390316609850037221,
         11924031121502977196, 8723337799374700234, 17511966424871610818,
     ]),
     ("fneb", [
@@ -157,8 +157,8 @@ const PINNED: [(&str, [u64; 19]); 7] = [
         8338467592577610586, 9668913077221792891, 1677180457301816044,
     ]),
     ("src", [
-        2611634964598340659, 6829881953968019338, 1911080346024991279, 2641856252265669334,
-        14956928576731880110, 7812041906867589206, 2611634964598340659, 6829881953968019338,
+        17108966469731826107, 11210724275670228832, 1911080346024991279, 2641856252265669334,
+        14956928576731880110, 7812041906867589206, 17108966469731826107, 11210724275670228832,
         7488702095391043193, 4845470130764634498, 3064213564429423864, 18265548378854638614,
         17415874618446305388, 1953655072705684768, 5915997116995494307, 17354630269531752177,
         2641856252265669334, 1292083476568245250, 2173522485586891053,
