@@ -168,12 +168,15 @@ impl RnColumn {
         let Some(bucket) = self.rns.get_mut(range) else {
             return &[];
         };
-        if let Some(word) = self.ordered.get_mut(b / 64) {
-            let bit = 1u64 << (b % 64);
-            if *word & bit == 0 {
+        let bit = 1u64 << (b % 64);
+        match self.ordered.get_mut(b / 64) {
+            Some(word) if *word & bit != 0 => {}
+            word => {
                 let low = (1usize << self.shift) - 1;
                 bucket.sort_unstable_by_key(|&rn| usize::from(rn) & low);
-                *word |= bit;
+                if let Some(word) = word {
+                    *word |= bit;
+                }
             }
         }
         bucket
