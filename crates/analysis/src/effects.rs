@@ -184,6 +184,12 @@ const ALLOC_TYPES: &[&str] = &["Vec", "Box", "String", "VecDeque", "BTreeMap", "
 /// Allocating `.method(` adapters.
 const ALLOC_METHODS: &[&str] = &["collect", "to_vec", "to_owned", "to_string"];
 
+/// Keywords a `[` can follow that start an array literal, a slice
+/// pattern or a slice type, never an indexing (`for x in [a, b]`).
+const NON_INDEX_KEYWORDS: &[&str] = &[
+    "as", "break", "if", "in", "let", "match", "mut", "return", "while",
+];
+
 /// Method receivers that consume unwrappable options/results and panic.
 const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
 
@@ -382,7 +388,8 @@ pub(crate) fn harvest(file: &SourceFile, def: &FnDef) -> Vec<SeedSite> {
                 // `vec![`, attributes, array types and literals).
                 let is_index = i > 0 && {
                     let p = &tokens[i - 1];
-                    (matches!(p.kind, TokenKind::Ident | TokenKind::Int) && prev != "as")
+                    (matches!(p.kind, TokenKind::Ident | TokenKind::Int)
+                        && !NON_INDEX_KEYWORDS.contains(&prev))
                         || (p.kind == TokenKind::Punct && (prev == ")" || prev == "]"))
                 };
                 if is_index {

@@ -248,6 +248,30 @@ pub fn guarded(xs: &[u32], i: usize) -> u32 {
 }
 
 #[test]
+fn array_literals_after_keywords_are_not_indexing() {
+    let fx = Fixture::new("keyword-array");
+    fx.file(
+        "crates/sim/src/lib.rs",
+        "\
+pub fn pick(xs: &[u32], a: u32, b: u32, i: usize) -> u32 {
+    let mut total = 0;
+    if a > b {
+        for x in [a, b] {
+            total += x;
+        }
+        total += xs[i];
+    }
+    total
+}
+",
+    );
+    let report = fx.scan();
+    let found: Vec<(RuleId, usize)> = report.findings.iter().map(|f| (f.rule, f.line)).collect();
+    // Line 4, `in [a, b]`, is an array literal; line 7 indexes.
+    assert_eq!(found, vec![(RuleId::PanicPath, 7)], "{:?}", report.findings);
+}
+
+#[test]
 fn unwrap_and_nested_index_on_one_line_report_both_rules() {
     let fx = Fixture::new("unwrap-and-index");
     fx.file(

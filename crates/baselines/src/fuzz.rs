@@ -220,8 +220,7 @@ fn check_plan<P: ResponsePlan>(tags: &[Tag], w: usize, observe: usize, threads: 
         // A prefix read slot-orders the buckets it reaches into; the same
         // column read again, in full or at the prefix, must still meet the
         // reference.
-        let second_reads = [w, observe];
-        for again in second_reads {
+        for again in [w, observe] {
             let mut column = RnColumn::new(tags, w);
             check(
                 response_fill_column(&mut column, w, observe, plan),

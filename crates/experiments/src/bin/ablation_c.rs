@@ -1,7 +1,4 @@
 //! Ablation: rough lower-bound coefficient c.
-use rfid_experiments::{ablations, output::emit, configure};
-
 fn main() {
-    let scale = configure(std::env::args().skip(1)).scale;
-    emit(&ablations::run_c_sweep(scale, 42), "ablation_c");
+    rfid_experiments::artifacts::bin_main(env!("CARGO_BIN_NAME"));
 }

@@ -1,7 +1,4 @@
 //! Extension: per-tag energy (transmission counts) across estimators.
-use rfid_experiments::{ablations, output::emit, configure};
-
 fn main() {
-    let scale = configure(std::env::args().skip(1)).scale;
-    emit(&ablations::run_energy(scale, 42), "ablation_energy");
+    rfid_experiments::artifacts::bin_main(env!("CARGO_BIN_NAME"));
 }

@@ -1,7 +1,4 @@
 //! Ablation: XOR-bitget vs full-avalanche tag hashing.
-use rfid_experiments::{ablations, output::emit, configure};
-
 fn main() {
-    let scale = configure(std::env::args().skip(1)).scale;
-    emit(&ablations::run_hash_comparison(scale, 42), "ablation_hash");
+    rfid_experiments::artifacts::bin_main(env!("CARGO_BIN_NAME"));
 }

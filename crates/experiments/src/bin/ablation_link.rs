@@ -1,7 +1,4 @@
 //! Ablation: PHY link profile (Tari / BLF / Miller).
-use rfid_experiments::{ablations, output::emit, configure};
-
 fn main() {
-    let scale = configure(std::env::args().skip(1)).scale;
-    emit(&ablations::run_link_sweep(scale, 42), "ablation_link");
+    rfid_experiments::artifacts::bin_main(env!("CARGO_BIN_NAME"));
 }

@@ -1,7 +1,4 @@
 //! Extension: additive (paper) vs geometric probe adjustment.
-use rfid_experiments::{ablations, output::emit, configure};
-
 fn main() {
-    let scale = configure(std::env::args().skip(1)).scale;
-    emit(&ablations::run_probe_strategy(scale, 42), "ablation_probe");
+    rfid_experiments::artifacts::bin_main(env!("CARGO_BIN_NAME"));
 }

@@ -1,45 +1,6 @@
 //! Run every experiment in sequence (quick grids by default, `--paper`
-//! for the full evaluation) — the one-command reproduction.
-use rfid_experiments::fig09::Sweep;
-use rfid_experiments::{
-    ablations, fig03, fig04, fig05, fig06, fig07, fig08, fig09, fig10,
-    guarantee, output::emit, plots, summary, tracking, configure,
-};
-
+//! for the full evaluation), then write the gnuplot scripts — the
+//! one-command reproduction.
 fn main() {
-    let scale = configure(std::env::args().skip(1)).scale;
-    emit(&summary::run(scale, 42), "summary_headline_claims");
-    emit(&fig03::run(scale, 42), "fig03_linearity");
-    emit(&fig04::run(scale, 42), "fig04_gamma");
-    emit(&fig05::run(scale, 42), "fig05_monotonicity");
-    emit(&fig06::run(scale, 42), "fig06_workloads");
-    emit(&fig07::run_vs_n(scale, 42), "fig07a_accuracy_vs_n");
-    emit(&fig07::run_vs_epsilon(scale, 42), "fig07b_accuracy_vs_epsilon");
-    emit(&fig07::run_vs_delta(scale, 42), "fig07c_accuracy_vs_delta");
-    emit(&fig08::run(scale, 42), "fig08_cdf");
-    for (sweep, acc_name, time_name) in [
-        (Sweep::N, "fig09a_accuracy_vs_n", "fig10a_time_vs_n"),
-        (Sweep::Epsilon, "fig09b_accuracy_vs_epsilon", "fig10b_time_vs_epsilon"),
-        (Sweep::Delta, "fig09c_accuracy_vs_delta", "fig10c_time_vs_delta"),
-    ] {
-        emit(&fig09::run(sweep, scale, 42), acc_name);
-        emit(&fig10::run(sweep, scale, 42), time_name);
-    }
-    emit(&guarantee::run(scale, 42), "guarantee");
-    emit(&ablations::run_k_sweep(scale, 42), "ablation_k");
-    emit(&ablations::run_w_sweep(scale, 42), "ablation_w");
-    emit(&ablations::run_c_sweep(scale, 42), "ablation_c");
-    emit(&ablations::run_hash_comparison(scale, 42), "ablation_hash");
-    emit(&ablations::run_channel_sweep(scale, 42), "ablation_channel");
-    emit(&ablations::run_probe_strategy(scale, 42), "ablation_probe");
-    emit(&ablations::run_link_sweep(scale, 42), "ablation_link");
-    emit(&ablations::run_energy(scale, 42), "ablation_energy");
-    emit(&ablations::run_tag_ops(scale, 42), "tag_ops");
-    emit(&ablations::run_crossover(scale, 42), "crossover");
-    emit(&ablations::run_shootout(scale, 42), "shootout");
-    emit(&tracking::run(scale, 42), "tracking");
-    match plots::write_all(std::path::Path::new("results/plots")) {
-        Ok(paths) => eprintln!("(wrote {} gnuplot scripts)", paths.len()),
-        Err(e) => eprintln!("warning: plots: {e}"),
-    }
+    rfid_experiments::artifacts::bin_main(env!("CARGO_BIN_NAME"));
 }

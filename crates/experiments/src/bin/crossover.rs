@@ -1,7 +1,4 @@
 //! Extension: exact Q-inventory vs BFCE estimation across cardinalities.
-use rfid_experiments::{ablations, output::emit, configure};
-
 fn main() {
-    let scale = configure(std::env::args().skip(1)).scale;
-    emit(&ablations::run_crossover(scale, 42), "crossover");
+    rfid_experiments::artifacts::bin_main(env!("CARGO_BIN_NAME"));
 }

@@ -1,7 +1,4 @@
 //! Regenerate Figure 3 (0s/1s vs n). `--paper` for the full grid.
-use rfid_experiments::{fig03, output::emit, configure};
-
 fn main() {
-    let scale = configure(std::env::args().skip(1)).scale;
-    emit(&fig03::run(scale, 42), "fig03_linearity");
+    rfid_experiments::artifacts::bin_main(env!("CARGO_BIN_NAME"));
 }

@@ -1,7 +1,4 @@
 //! Regenerate Figure 4 (gamma surface and scalability bounds).
-use rfid_experiments::{fig04, output::emit, configure};
-
 fn main() {
-    let scale = configure(std::env::args().skip(1)).scale;
-    emit(&fig04::run(scale, 42), "fig04_gamma");
+    rfid_experiments::artifacts::bin_main(env!("CARGO_BIN_NAME"));
 }

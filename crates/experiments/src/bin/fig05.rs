@@ -1,7 +1,4 @@
 //! Regenerate Figure 5 (f1/f2 monotonicity in n).
-use rfid_experiments::{fig05, output::emit, configure};
-
 fn main() {
-    let scale = configure(std::env::args().skip(1)).scale;
-    emit(&fig05::run(scale, 42), "fig05_monotonicity");
+    rfid_experiments::artifacts::bin_main(env!("CARGO_BIN_NAME"));
 }

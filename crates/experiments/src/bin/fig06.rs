@@ -1,7 +1,4 @@
 //! Regenerate Figure 6 (the T1/T2/T3 tag-ID distributions).
-use rfid_experiments::{fig06, output::emit, configure};
-
 fn main() {
-    let scale = configure(std::env::args().skip(1)).scale;
-    emit(&fig06::run(scale, 42), "fig06_workloads");
+    rfid_experiments::artifacts::bin_main(env!("CARGO_BIN_NAME"));
 }

@@ -1,9 +1,4 @@
 //! Regenerate Figure 7 (BFCE accuracy vs n / epsilon / delta).
-use rfid_experiments::{fig07, output::emit, configure};
-
 fn main() {
-    let scale = configure(std::env::args().skip(1)).scale;
-    emit(&fig07::run_vs_n(scale, 42), "fig07a_accuracy_vs_n");
-    emit(&fig07::run_vs_epsilon(scale, 42), "fig07b_accuracy_vs_epsilon");
-    emit(&fig07::run_vs_delta(scale, 42), "fig07c_accuracy_vs_delta");
+    rfid_experiments::artifacts::bin_main(env!("CARGO_BIN_NAME"));
 }

@@ -1,7 +1,4 @@
 //! Regenerate Figure 8 (CDF of 100 estimation rounds).
-use rfid_experiments::{fig08, output::emit, configure};
-
 fn main() {
-    let scale = configure(std::env::args().skip(1)).scale;
-    emit(&fig08::run(scale, 42), "fig08_cdf");
+    rfid_experiments::artifacts::bin_main(env!("CARGO_BIN_NAME"));
 }

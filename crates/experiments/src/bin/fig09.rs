@@ -1,10 +1,4 @@
 //! Regenerate Figure 9 (accuracy comparison BFCE/ZOE/SRC on T2).
-use rfid_experiments::fig09::{run, Sweep};
-use rfid_experiments::{output::emit, configure};
-
 fn main() {
-    let scale = configure(std::env::args().skip(1)).scale;
-    emit(&run(Sweep::N, scale, 42), "fig09a_accuracy_vs_n");
-    emit(&run(Sweep::Epsilon, scale, 42), "fig09b_accuracy_vs_epsilon");
-    emit(&run(Sweep::Delta, scale, 42), "fig09c_accuracy_vs_delta");
+    rfid_experiments::artifacts::bin_main(env!("CARGO_BIN_NAME"));
 }

@@ -1,10 +1,4 @@
 //! Regenerate Figure 10 (execution-time comparison BFCE/ZOE/SRC on T2).
-use rfid_experiments::fig09::Sweep;
-use rfid_experiments::{fig10, output::emit, configure};
-
 fn main() {
-    let scale = configure(std::env::args().skip(1)).scale;
-    emit(&fig10::run(Sweep::N, scale, 42), "fig10a_time_vs_n");
-    emit(&fig10::run(Sweep::Epsilon, scale, 42), "fig10b_time_vs_epsilon");
-    emit(&fig10::run(Sweep::Delta, scale, 42), "fig10c_time_vs_delta");
+    rfid_experiments::artifacts::bin_main(env!("CARGO_BIN_NAME"));
 }

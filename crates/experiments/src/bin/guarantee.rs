@@ -1,7 +1,4 @@
 //! Statistical validation of the (epsilon, delta) guarantee.
-use rfid_experiments::{guarantee, output::emit, configure};
-
 fn main() {
-    let scale = configure(std::env::args().skip(1)).scale;
-    emit(&guarantee::run(scale, 42), "guarantee");
+    rfid_experiments::artifacts::bin_main(env!("CARGO_BIN_NAME"));
 }

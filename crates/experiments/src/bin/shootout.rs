@@ -1,7 +1,4 @@
 //! The full related-work shootout: all ten estimators side by side.
-use rfid_experiments::{ablations, output::emit, configure};
-
 fn main() {
-    let scale = configure(std::env::args().skip(1)).scale;
-    emit(&ablations::run_shootout(scale, 42), "shootout");
+    rfid_experiments::artifacts::bin_main(env!("CARGO_BIN_NAME"));
 }

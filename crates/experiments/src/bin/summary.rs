@@ -1,7 +1,4 @@
 //! Check the paper's headline claims in one table.
-use rfid_experiments::{output::emit, summary, configure};
-
 fn main() {
-    let scale = configure(std::env::args().skip(1)).scale;
-    emit(&summary::run(scale, 42), "summary_headline_claims");
+    rfid_experiments::artifacts::bin_main(env!("CARGO_BIN_NAME"));
 }

@@ -1,7 +1,4 @@
 //! Extension: tag-side operation counts per scheme.
-use rfid_experiments::{ablations, output::emit, configure};
-
 fn main() {
-    let scale = configure(std::env::args().skip(1)).scale;
-    emit(&ablations::run_tag_ops(scale, 42), "tag_ops");
+    rfid_experiments::artifacts::bin_main(env!("CARGO_BIN_NAME"));
 }

@@ -1,7 +1,4 @@
 //! Continuous monitoring under churn: level vs differential detectors.
-use rfid_experiments::{output::emit, tracking, configure};
-
 fn main() {
-    let scale = configure(std::env::args().skip(1)).scale;
-    emit(&tracking::run(scale, 42), "tracking");
+    rfid_experiments::artifacts::bin_main(env!("CARGO_BIN_NAME"));
 }

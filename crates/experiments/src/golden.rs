@@ -1,8 +1,8 @@
 //! Golden-figure regression support.
 //!
-//! Small, fixed-seed renderings of the figure tables are committed under
-//! `tests/golden/`; `tests/golden.rs` regenerates them on every test run
-//! and asserts the output is **bitwise** identical. Any change to the
+//! The quick grid of every [`ARTIFACTS`] table is committed as
+//! `tests/golden/<stem>_quick.csv`; `tests/golden.rs` regenerates them on
+//! every test run and asserts the output is **bitwise** identical. Any change to the
 //! estimator, the simulator, the trial engine, or the CSV writer that
 //! moves a single byte of a figure therefore fails loudly and must be
 //! accompanied by a regenerated golden (run
@@ -12,16 +12,15 @@
 //! workspace is the in-tree SplitMix64 shim, so the stream is part of the
 //! source and a golden file is just the table's CSV.
 
-use crate::fig03;
-use crate::guarantee;
+use crate::artifacts::ARTIFACTS;
 use crate::output::Table;
 use crate::runner::Scale;
 
-/// The golden artifact set: `(file stem, table)` at `Scale::Quick` with
-/// the same fixed seeds the figure binaries use.
-pub fn artifacts() -> Vec<(&'static str, Table)> {
-    vec![
-        ("fig03_quick", fig03::run(Scale::Quick, 42)),
-        ("guarantee_quick", guarantee::run(Scale::Quick, 42)),
-    ]
+/// The golden artifact set: every [`ARTIFACTS`] table at `Scale::Quick`,
+/// keyed `<stem>_quick`.
+pub fn artifacts() -> Vec<(String, Table)> {
+    ARTIFACTS
+        .iter()
+        .map(|a| (format!("{}_quick", a.stem), (a.run)(Scale::Quick)))
+        .collect()
 }

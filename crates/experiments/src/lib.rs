@@ -2,10 +2,13 @@
 //! ablation studies listed in DESIGN.md.
 //!
 //! Each `figNN` module exposes `run(scale, seed) -> Table`; the `Table` can
-//! be pretty-printed and written as CSV under `results/`. Binaries in
-//! `src/bin` wrap each module (`cargo run --release -p rfid-experiments
-//! --bin fig07 -- --paper`), and `--bin all` runs every one of them in
-//! sequence so the whole evaluation regenerates with one command.
+//! be pretty-printed and written as CSV under `results/`. The 28 tables are
+//! listed once, in [`artifacts::ARTIFACTS`] (stem, owning binary,
+//! pipeline). Every figure and ablation binary in `src/bin` is the same
+//! call to [`artifacts::bin_main`] (`cargo run --release -p
+//! rfid-experiments --bin fig07 -- --paper`), `--bin all` writes every
+//! artifact in sequence so the whole evaluation regenerates with one
+//! command, and [`golden`] pins the quick grid of each.
 //!
 //! | module | paper artifact |
 //! |---|---|
@@ -18,6 +21,7 @@
 //! | [`fig09`] | Fig. 9 — accuracy comparison BFCE/ZOE/SRC (T2) |
 //! | [`fig10`] | Fig. 10 — execution-time comparison BFCE/ZOE/SRC (T2) |
 //! | [`engine`] | trial-parallel Monte-Carlo runner (stream-split seeding, bitwise-deterministic aggregation) |
+//! | [`artifacts`] | the artifact table every binary, golden and plot reads |
 //! | [`ablations`] | k/w/c sweeps, hash & channel robustness, probe strategy, energy, crossover, shootout |
 //! | [`guarantee`] | exact binomial test of the `(epsilon, delta)` claim |
 //! | [`summary`] | headline claims (0.19 s, 9216 slots, >19 M, speedups) |
@@ -26,6 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod ablations;
+pub mod artifacts;
 pub mod engine;
 pub mod fig03;
 pub mod fig04;

@@ -579,7 +579,7 @@ impl RfidSystem {
     }
 
     /// Sense pre-computed per-slot responder counts through this system's
-    /// channel (uncharged).
+    /// channel (uncharged, with or without an armed fault plan).
     ///
     /// For protocols whose observation can be computed without
     /// materializing the whole frame (e.g. FNEB only needs the position of
@@ -589,22 +589,15 @@ impl RfidSystem {
     /// reader dropout does not apply, since the counts were computed by
     /// the caller.
     pub fn sense_counts(&mut self, counts: &[u32]) -> BitFrame {
-        let observe = counts.len();
-        let frame = self.begin_frame(observe);
-        if self.faults.is_none() {
-            return BitFrame::sense(counts, observe, self.channel.as_ref(), &mut self.noise);
+        let frame = self.begin_frame(counts.len());
+        let mut busy = Bitmap::zeros(counts.len());
+        for (i, _) in counts.iter().enumerate().filter(|&(_, &c)| c > 0) {
+            busy.set(i);
         }
-        let mut busy = Bitmap::zeros(observe);
-        let mut prefix_responses = 0u64;
-        for (i, &c) in counts.iter().enumerate() {
-            if c > 0 {
-                busy.set(i);
-            }
-            prefix_responses += u64::from(c);
-        }
+        // The caller charges the responders' energy, so the fill carries none.
         let fill = FrameFill {
             busy,
-            prefix_responses,
+            prefix_responses: 0,
         };
         self.collect_bitslot_frame(fill, frame, false)
     }
@@ -939,10 +932,14 @@ mod tests {
             }
             let f1 = sys.run_bitslot_frame(64, &id_plan);
             let f2 = sys.run_bitslot_frame_prefix(64, 32, &id_plan);
+            let aloha = sys.run_aloha_frame(64, &id_plan);
+            let sensed = sys.sense_counts(&[0, 1, 0, 2]);
             (
                 f1.busy_bitmap().clone(),
                 f2.busy_bitmap().clone(),
-                sys.air_time().total_us(),
+                aloha,
+                sensed.busy_bitmap().clone(),
+                sys.air_time(),
             )
         };
         assert_eq!(frames(false), frames(true));

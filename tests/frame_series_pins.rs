@@ -153,8 +153,8 @@ const PINNED: [(&str, [u64; 19]); 7] = [
         16203492072731734490, 12014611880908301826, 9568931546992814064, 13690540163213458756,
         861109740689854885, 7224244718556688204, 16203492072731734490, 12014611880908301826,
         10722480976926028307, 2930671572664267228, 1338657228536271130, 4962535317190493802,
-        7634665634559196227, 12014990868800902632, 12510008526800803753, 6242981388800283131,
-        8338467592577610586, 9668913077221792891, 1677180457301816044,
+        5079088785825789527, 710046013174538196, 12074448098672582049, 10397622715531786875,
+        2891218058753602210, 12347851430384521843, 15028345707222148556,
     ]),
     ("src", [
         17108966469731826107, 11210724275670228832, 1911080346024991279, 2641856252265669334,

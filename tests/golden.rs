@@ -1,9 +1,10 @@
-//! Golden-figure regression: small fixed-seed renderings of the figure
-//! tables, committed under `tests/golden/`, must regenerate **bitwise**
+//! Golden-figure regression: the quick grid of every artifact table,
+//! committed under `tests/golden/`, must regenerate **bitwise**
 //! identically on every run. Any drift — estimator, simulator, trial
 //! engine, or CSV writer — fails the test; regenerate intentionally with
 //! `cargo run -p rfid-experiments --bin golden`.
 
+use rfid_experiments::artifacts::ARTIFACTS;
 use rfid_experiments::golden;
 
 /// Path to a committed golden file, anchored at the workspace root
@@ -24,7 +25,7 @@ fn committed_goldens_regenerate_bitwise() {
     for (stem, table) in golden::artifacts() {
         assert_eq!(
             table.to_csv(),
-            committed(stem),
+            committed(&stem),
             "{stem}: regeneration drifted from the committed golden; if the \
              change is intentional run `cargo run -p rfid-experiments --bin golden`"
         );
@@ -33,8 +34,9 @@ fn committed_goldens_regenerate_bitwise() {
 
 #[test]
 fn golden_files_are_well_formed() {
-    for stem in ["fig03_quick", "guarantee_quick"] {
-        let committed = committed(stem);
+    for artifact in ARTIFACTS {
+        let stem = format!("{}_quick", artifact.stem);
+        let committed = committed(&stem);
         let mut lines = committed.lines();
         let header = lines.next().unwrap_or("");
         assert!(
